@@ -448,22 +448,25 @@ SWEEP_HEADER = ["kind", "alpha", "beta", "phi_family", "g_family",
 def run_sweep(cfg: dict, out_dir: Path) -> list:
     """Criterion + essential-norm reports for every sweep cell.
 
-    One JSON pair per cell plus a summary CSV. Per-cell failures are
-    recorded in the row's error column and the run continues. Output is
-    byte-identical across reruns with the same config.
+    One JSON pair per cell plus a summary CSV. A fault in the config, its
+    grid or its symbols raises ConfigError before any cell runs; per-cell
+    failures are recorded in the row's error column and the run continues.
+    Output is byte-identical across reruns with the same config.
     """
-    cfg = _validate_sweep_config(cfg)
-    grid = DiskGrid.from_config(cfg.get("grid", {}))
-    n_seq = int(cfg["nseq"])
-    n_work = int(cfg["nwork"])
-    compact_tol = float(cfg["compact_tol"])
+    try:
+        cfg = _validate_sweep_config(cfg)
+        grid = DiskGrid.from_config(cfg.get("grid", {}))
+        n_seq = int(cfg["nseq"])
+        n_work = int(cfg["nwork"])
+        compact_tol = float(cfg["compact_tol"])
+        symbols = {}
+        for pi, phi_spec in enumerate(cfg["phis"]):
+            for gi, g_spec in enumerate(cfg["gs"]):
+                symbols[(pi, gi)] = symbol_from_config(
+                    {"phi": phi_spec, "g": g_spec}, n_work=n_work, grid=grid)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep config: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    symbols = {}
-    for pi, phi_spec in enumerate(cfg["phis"]):
-        for gi, g_spec in enumerate(cfg["gs"]):
-            symbols[(pi, gi)] = symbol_from_config(
-                {"phi": phi_spec, "g": g_spec}, n_work=n_work, grid=grid)
 
     rows = []
     cell = 0

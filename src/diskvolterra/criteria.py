@@ -7,7 +7,7 @@ sup_z v(z) |u(z)| |phi(z)|^n, and the sup over the disk of the matching
 pointwise expression. Both are computed for every condition; the verdict
 is "bounded" when all required quantities are finite under the caps, and
 "not-determined" when divergence evidence appears (numerics never certify
-unboundedness).
+unboundedness). Scans and sups are computed once per (symbol, grid).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import CPHIVG, KINDS, VGCPHI, SelfMapSymbol, symbol_weights
+from .operators import (KINDS, V_KINDS, GridContext, SelfMapSymbol, SymbolValues,
+                        SymbolWeight, symbol_weights)
 from .spaces import (DiskGrid, SupEstimate, Weight, default_grid, grid_supremum,
                      one_minus_sq)
 
@@ -52,7 +53,7 @@ def conditions_for(kind: str, alpha: float):
         raise ValueError(f"unknown operator kind {kind!r}")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if kind in (VGCPHI, CPHIVG):
+    if kind in V_KINDS:
         if alpha < 1.0:
             return ["u2"], [("u1", ("power", alpha))]
         if alpha == 1.0:
@@ -80,10 +81,6 @@ class SequenceScan:
     at_cap: bool          # sup attained at n = N_seq
     growing: bool         # trailing-window growth beyond the evidence ratio
 
-    @property
-    def n_seq(self) -> int:
-        return len(self.raw) - 1
-
 
 def _pareto_front(A: np.ndarray, p: np.ndarray, order: np.ndarray):
     """Grid points that can realize max A * p**n for some n >= 0.
@@ -110,22 +107,20 @@ def apply_scale(s: np.ndarray, scale: tuple) -> np.ndarray:
     return out
 
 
-def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
-                      n_seq: int, grid: DiskGrid | None = None) -> SequenceScan:
-    """Scan n = 0..n_seq of the scaled sequence quantity.
+def u_values(u, values: SymbolValues):
+    """u at a provider's points: a symbol weight's formula, or a plain
+    function of z (whose results the grid context does not keep)."""
+    return u.formula(values) if isinstance(u, SymbolWeight) else u(values.z)
 
-    The weighted symbol magnitude A(z) = v(z)|u(z)| and p(z) = |phi(z)| are
-    evaluated once over the grid; the scan runs over the Pareto front of
-    (p, A) only, which makes the cost O(grid + n_seq * front).
-    """
-    if n_seq < 1:
-        raise ValueError("n_seq must be >= 1")
-    grid = grid or default_grid()
-    uvals = u.on_grid(grid) if hasattr(u, "on_grid") else u(grid.points)
-    A = weight(grid.abs_points) * np.abs(uvals)
-    p = sym.grid_values(grid, "abs_phi")
-    order = sym.grid_values(grid, "desc_order")
-    AA, pp = _pareto_front(A, p, order)
+
+def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
+    """Read-only s_n = max over the grid of v(z)|u(z)||phi(z)|^n, n = 0..n_seq,
+    scanned over the Pareto front of (|phi|, v|u|): O(grid + n_seq * front)."""
+    # u before any other grid-sized array: one allocated first made glibc
+    # re-fault the heap in each Horner step of u's series tables (2.7x slower)
+    uvals = u_values(u, ctx)
+    A = weight(ctx.abs_z) * np.abs(uvals)
+    AA, pp = _pareto_front(A, ctx.abs_phi, ctx.desc_order)
 
     s = np.empty(n_seq + 1)
     cur = AA.copy()
@@ -133,6 +128,21 @@ def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
         s[n] = cur.max() if cur.size else 0.0
         if n < n_seq:
             cur *= pp
+    s.flags.writeable = False
+    return s
+
+
+def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
+                      n_seq: int, grid: DiskGrid | None = None) -> SequenceScan:
+    """Scan n = 0..n_seq of the scaled sequence quantity. The raw values
+    do not depend on the scale: for a symbol weight the grid context keeps
+    them per (u, weight, n_seq)."""
+    if n_seq < 1:
+        raise ValueError("n_seq must be >= 1")
+    ctx = sym.context(grid or default_grid())
+    key = (("scan", u.label, weight.kind, weight.alpha, n_seq)
+           if isinstance(u, SymbolWeight) else None)
+    s = ctx.cached(key, lambda: raw_sequence(ctx, u, weight, n_seq))
     scaled = apply_scale(s, scale)
     n_at_sup = int(np.argmax(scaled))
     sup = float(scaled[n_at_sup])
@@ -148,35 +158,31 @@ def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
                         growing=growing)
 
 
-def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
-                       grid: DiskGrid | None = None) -> SupEstimate:
-    """sup over the disk of (1-|z|^2)^beta |u(z)| * F(|phi(z)|).
+def expression(values: SymbolValues, u, beta: float, form: tuple):
+    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) from a value provider.
 
     F is (1-w^2)^-gamma for form ("power", gamma) or log(2/(1-w^2)) for
-    form ("log",). The coarse pass reuses cached grid tables; refinement
-    evaluates the closed forms pointwise. The returned estimate carries
-    divergence evidence when the sup sits on the outermost shells and still
-    grows there.
+    form ("log",).
     """
+    uvals = u_values(u, values)  # first, as in raw_sequence
+    y = one_minus_sq(values.abs_phi)
+    factor = np.log(2.0 / y) if form[0] == "log" else y ** (-form[1])
+    return one_minus_sq(values.abs_z) ** beta * np.abs(uvals) * factor
+
+
+def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
+                       grid: DiskGrid | None = None) -> SupEstimate:
+    """sup over the disk of ``expression``: the coarse pass reads the grid
+    context's tables, refinement evaluates the same formula at single
+    points, and for a symbol weight the context keeps the estimate. It
+    carries divergence evidence when the sup sits on the outermost shells
+    and still grows there."""
     grid = grid or default_grid()
-
-    def factor(absphi):
-        y = one_minus_sq(absphi)
-        if form[0] == "log":
-            return np.log(2.0 / y)
-        if form[1] == 0.0:
-            return np.ones_like(y)
-        return y ** (-form[1])
-
-    uvals = u.on_grid(grid) if hasattr(u, "on_grid") else u(grid.points)
-    table = (one_minus_sq(grid.abs_points) ** beta * np.abs(uvals)
-             * factor(sym.grid_values(grid, "abs_phi")))
-
-    def magnitude(z):
-        return (one_minus_sq(np.abs(z)) ** beta * np.abs(u(z))
-                * factor(np.abs(sym.phi(z))))
-
-    return grid_supremum(magnitude, grid, grid_values=table)
+    ctx = sym.context(grid)
+    key = ("sup", u.label, beta, form) if isinstance(u, SymbolWeight) else None
+    return ctx.cached(key, lambda: grid_supremum(
+        lambda z: expression(SymbolValues(sym, z), u, beta, form), grid,
+        grid_values=expression(ctx, u, beta, form)))
 
 
 @dataclass
@@ -235,7 +241,6 @@ def check_boundedness(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    grid = grid or default_grid()
     mem_keys, cond_specs = conditions_for(kind, alpha)
     weights = symbol_weights(kind, sym)
     v_beta = Weight.standard(beta)

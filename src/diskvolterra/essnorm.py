@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import (CriterionReport, check_boundedness, conditions_for,
-                       form_label, scale_label, sequence_quantity)
+                       expression, form_label, scale_label, sequence_quantity)
 from .operators import CPHIUG, UGCPHI, SelfMapSymbol, symbol_weights
-from .spaces import DiskGrid, Weight, default_grid, one_minus_sq
+from .spaces import DiskGrid, Weight, default_grid
 
 #: combined estimate below this is flagged compact
 COMPACT_TOL = 1e-3
@@ -63,7 +63,6 @@ def sequence_limsup(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
     a + b/log(n) fit is additionally reported because that convergence is
     O(1/log n) rather than O(1/n).
     """
-    grid = grid or default_grid()
     if window is None:
         window = max(n_seq // 4, 8)
     if window >= n_seq:
@@ -87,20 +86,16 @@ def boundary_limsup(u, sym: SelfMapSymbol, beta: float, form: tuple,
                     eps_range: tuple = EPS_LADDER_RANGE) -> BoundaryScan:
     """Sups of the pointwise expression over {z : |phi(z)| > 1 - eps}.
 
-    Reuses the precomputed grid tables: values are sorted once by |phi|
-    descending, so every eps filter is a prefix max. Empty prefixes (the
+    The expression is the one ``pointwise_quantity`` takes the sup of, over
+    the grid context's tables; sorted once by |phi| descending, every eps
+    filter is a prefix max. Empty prefixes (the
     compact case ||phi|| < 1) contribute 0. The estimate is the max over
     the last three nonempty rungs, annotated with their trend.
     """
-    grid = grid or default_grid()
-    uvals = u.on_grid(grid) if hasattr(u, "on_grid") else u(grid.points)
-    absphi = sym.grid_values(grid, "abs_phi")
-    y = one_minus_sq(absphi)
-    factor = np.log(2.0 / y) if form[0] == "log" else y ** (-form[1])
-    expr = one_minus_sq(grid.abs_points) ** beta * np.abs(uvals) * factor
-
-    order = sym.grid_values(grid, "desc_order")
-    w_sorted = absphi.ravel()[order]
+    ctx = sym.context(grid or default_grid())
+    expr = expression(ctx, u, beta, form)
+    order = ctx.desc_order
+    w_sorted = ctx.abs_phi.ravel()[order]
     prefix_max = np.maximum.accumulate(expr.ravel()[order])
 
     eps = [2.0 ** (-k) for k in range(eps_range[0], eps_range[1] + 1)]
@@ -155,11 +150,16 @@ def essential_norm(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     """Estimate the essential norm of a bounded product operator.
 
     Refuses (OperatorNotBoundedError) unless boundedness is established:
-    pass a precomputed CriterionReport or one is computed here. The
-    combined estimate is the max over the case's scaled sequence limsups;
-    the boundary route rides along per condition for cross-checking.
+    pass a precomputed CriterionReport for the same (kind, alpha, beta),
+    else ValueError, or one is computed here. The sequence tails reuse the
+    scans the report kept in the grid context. The combined estimate is the
+    max over the case's scaled sequence limsups; the boundary route rides
+    along per condition for cross-checking.
     """
-    grid = grid or default_grid()
+    if boundedness is not None and ((boundedness.kind, boundedness.alpha,
+                                     boundedness.beta) != (kind, alpha, beta)):
+        raise ValueError(f"boundedness report is for another operator: {boundedness.kind} "
+                         f"(alpha={boundedness.alpha:g}, beta={boundedness.beta:g})")
     report = boundedness or check_boundedness(kind, sym, alpha, beta, grid,
                                               n_seq=n_seq)
     if report.verdict != "bounded":

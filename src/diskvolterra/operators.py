@@ -4,15 +4,20 @@ Two routes exist for every product operator: a series-to-series transform
 (used to serialize images and to cross-validate), and pointwise evaluators
 for the first/second derivatives assembled from the symbol derivatives,
 which carry no composition-truncation error and therefore feed all norm
-estimates near the boundary.
+estimates near the boundary. Symbol weights are formulas over ``SymbolValues``.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 
 from .series import N_WORK, TruncatedSeries
-from .spaces import DiskGrid, Weight, default_grid, golden_max, weighted_sup_norm
+from .spaces import (DiskGrid, Weight, default_grid, golden_max, weighted_sup_norm,
+                     zygmund_norm)
 
 #: the four product-operator kinds
 VGCPHI = "vgcphi"   # f -> integral_0^z f'(phi(s)) g(s) ds
@@ -20,6 +25,8 @@ CPHIVG = "cphivg"   # f -> integral_0^phi(z) f'(s) g(s) ds
 CPHIUG = "cphiug"   # f -> integral_0^phi(z) f(s) g'(s) ds
 UGCPHI = "ugcphi"   # f -> integral_0^z f(phi(s)) g'(s) ds
 KINDS = (VGCPHI, CPHIVG, CPHIUG, UGCPHI)
+#: the V-type products, whose images involve f' and f''; U-type ones f and f'
+V_KINDS = (VGCPHI, CPHIVG)
 
 #: self-map certificates may brush the unit circle by this much
 SELF_MAP_TOL = 1e-9
@@ -35,15 +42,69 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
+#: value-provider name -> (symbol series attribute, evaluated at phi(z))
+_SERIES = {
+    "phi": ("phi", False), "phi1": ("phi_d1", False), "phi2": ("phi_d2", False),
+    "g": ("g", False), "g1": ("g_d1", False), "g2": ("g_d2", False),
+    "g_phi": ("g", True), "g1_phi": ("g_d1", True), "g2_phi": ("g_d2", True),
+}
+
+
+class SymbolValues:
+    """Values of a symbol at fixed points z, each computed on first access:
+    phi, phi1, phi2, g, g1, g2 (at z), g_phi, g1_phi, g2_phi (at phi(z)),
+    abs_phi = |phi(z)|, abs_z = |z| and desc_order (the argsort of -|phi|
+    over the flattened points)."""
+
+    def __init__(self, sym, z):
+        self.z = z
+        self._sym = sym
+
+    def __getattr__(self, key):
+        if key == "abs_phi":
+            val = np.abs(self.phi)
+        elif key == "abs_z":
+            val = np.abs(self.z)
+        elif key == "desc_order":
+            val = np.argsort(-self.abs_phi.ravel(), kind="stable")
+        elif key in _SERIES:
+            series, at_phi = _SERIES[key]
+            val = getattr(self._sym, series)(self.phi if at_phi else self.z)
+        else:
+            raise AttributeError(key)
+        setattr(self, key, val)
+        return val
+
+
+class GridContext(SymbolValues):
+    """Everything computed for one symbol on one grid, filled on first use:
+    the ``SymbolValues`` over ``grid.points`` (abs_z is the exact ladder
+    radius) and, through ``cached``, raw sequence scans and sup estimates."""
+
+    def __init__(self, sym, grid: DiskGrid):
+        super().__init__(sym, grid.points)
+        self.abs_z = grid.abs_points
+        self._results: dict = {}
+
+    def cached(self, key, compute):
+        """compute() on the first use of ``key``, kept; None keeps nothing."""
+        if key is None:
+            return compute()
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
+
+
 class SelfMapSymbol:
     """A validated analytic self-map phi together with an outer symbol g.
 
     The sup-modulus of phi over the circle |z| = r_max is certified at
     construction (by the maximum principle this bounds |phi| on the capped
-    disk); candidates exceeding 1 + 1e-9 are rejected. First and second
-    derivatives of both symbols are cached, as are per-grid value tables,
-    so repeated criterion sweeps do not re-evaluate the series. Instances
-    are immutable after construction.
+    disk); candidates exceeding 1 + 1e-9 are rejected. The series and their
+    first and second derivatives are fixed at construction. Per grid, the
+    symbol keeps one ``GridContext``, made on first use and keyed weakly by
+    the grid object itself: it lives as long as the grid does and can never
+    serve another grid.
     """
 
     def __init__(self, phi: TruncatedSeries, g: TruncatedSeries,
@@ -60,62 +121,30 @@ class SelfMapSymbol:
             raise InvalidSelfMapError(
                 f"sup |phi| = {self.phi_sup_modulus:.12g} on |z| = {r_max} "
                 "exceeds 1; phi is not a self-map of the disk")
-        self._grid_cache: dict = {}
+        self._contexts = weakref.WeakKeyDictionary()
 
     @staticmethod
     def _certify(phi: TruncatedSeries, r_max: float, n_angles: int = 4096) -> float:
+        def modulus(t):
+            return abs(np.polynomial.polynomial.polyval(r_max * np.exp(1j * t),
+                                                        phi.coeffs))
         th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-        vals = np.abs(np.polynomial.polynomial.polyval(
-            r_max * np.exp(1j * th), phi.coeffs))
+        vals = modulus(th)
         j = int(np.argmax(vals))
-        best = float(vals[j])
         dth = 2.0 * np.pi / n_angles
-        _, refined = golden_max(
-            lambda t: abs(np.polynomial.polynomial.polyval(
-                r_max * np.exp(1j * t), phi.coeffs)),
-            th[j] - dth, th[j] + dth)
-        return max(best, float(refined))
+        _, refined = golden_max(modulus, th[j] - dth, th[j] + dth)
+        return max(float(vals[j]), float(refined))
 
-    # -- cached grid tables --------------------------------------------------
+    def context(self, grid: DiskGrid) -> GridContext:
+        """The evaluation context of this symbol on ``grid``."""
+        if grid not in self._contexts:
+            # through a proxy, so the symbol and its contexts form no cycle
+            self._contexts[grid] = GridContext(weakref.proxy(self), grid)
+        return self._contexts[grid]
 
     def grid_values(self, grid: DiskGrid, key: str) -> np.ndarray:
-        """Value table of a named symbol quantity over ``grid.points``.
-
-        Keys: phi, phi1, phi2, g, g1, g2 (evaluated at z), g_phi, g1_phi,
-        g2_phi (evaluated at phi(z)), abs_phi, and desc_order (the argsort
-        of -|phi| over the flattened grid, shared by the sequence scans
-        and the boundary filters).
-        """
-        ck = (id(grid), key)
-        if ck in self._grid_cache:
-            return self._grid_cache[ck]
-        Z = grid.points
-        if key == "phi":
-            val = self.phi(Z)
-        elif key == "phi1":
-            val = self.phi_d1(Z)
-        elif key == "phi2":
-            val = self.phi_d2(Z)
-        elif key == "g":
-            val = self.g(Z)
-        elif key == "g1":
-            val = self.g_d1(Z)
-        elif key == "g2":
-            val = self.g_d2(Z)
-        elif key in ("g_phi", "g1_phi", "g2_phi"):
-            w = self.grid_values(grid, "phi")
-            series = {"g_phi": self.g, "g1_phi": self.g_d1,
-                      "g2_phi": self.g_d2}[key]
-            val = series(w)
-        elif key == "abs_phi":
-            val = np.abs(self.grid_values(grid, "phi"))
-        elif key == "desc_order":
-            val = np.argsort(-self.grid_values(grid, "abs_phi").ravel(),
-                             kind="stable")
-        else:
-            raise KeyError(key)
-        self._grid_cache[ck] = val
-        return val
+        """Table of a ``GridContext`` quantity, e.g. "g1_phi", over the grid."""
+        return getattr(self.context(grid), key)
 
 
 # -- series route ------------------------------------------------------------
@@ -154,41 +183,28 @@ def product_second_derivative(kind: str, sym: SelfMapSymbol,
                               f: TruncatedSeries, z):
     """Second derivative of the product operator image, evaluated pointwise.
 
-    All factors come from cached symbol series evaluated at z (and f, f',
-    f'' at phi(z)), so there is no composition-truncation error. Accepts
-    scalars or arrays.
+    It is u1 f^(k+1)(phi) + u2 f^(k)(phi) with the kind's symbol weights,
+    k = 1 for the V-type and k = 0 for the U-type products. Every factor is
+    a symbol series evaluated at z or phi(z), so there is no
+    composition-truncation error. Accepts scalars or arrays.
     """
-    f1 = f.derivative()
-    f2 = f1.derivative()
-    w = sym.phi(z)
-    if kind == VGCPHI:
-        return sym.phi_d1(z) * sym.g(z) * f2(w) + sym.g_d1(z) * f1(w)
-    if kind == UGCPHI:
-        return sym.phi_d1(z) * sym.g_d1(z) * f1(w) + sym.g_d2(z) * f(w)
-    if kind == CPHIVG:
-        p1 = sym.phi_d1(z)
-        return (sym.g(w) * p1 * p1 * f2(w)
-                + (sym.g_d1(w) * p1 * p1 + sym.g(w) * sym.phi_d2(z)) * f1(w))
-    if kind == CPHIUG:
-        p1 = sym.phi_d1(z)
-        return (sym.g_d1(w) * p1 * p1 * f1(w)
-                + (sym.g_d2(w) * p1 * p1 + sym.g_d1(w) * sym.phi_d2(z)) * f(w))
-    raise ValueError(f"unknown operator kind {kind!r}")
+    u1, u2 = symbol_weights(kind, sym).values()
+    v = SymbolValues(sym, z)
+    fk = f.derivative() if kind in V_KINDS else f
+    return u1.formula(v) * fk.derivative()(v.phi) + u2.formula(v) * fk(v.phi)
 
 
 def _image_at_zero(kind: str, sym: SelfMapSymbol, f: TruncatedSeries,
                    n_work: int = N_WORK) -> tuple[complex, complex]:
-    """(Tf)(0) and (Tf)'(0), exactly."""
+    """(Tf)(0) and (Tf)'(0), exactly: (V_g f)' = f' g and (U_g f)' = f g'."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    fk, h, volterra = ((f.derivative(), sym.g, apply_vg) if kind in V_KINDS
+                       else (f, sym.g_d1, apply_ug))
     w0 = sym.phi(0.0)
-    if kind == VGCPHI:
-        return 0.0, f.derivative()(w0) * sym.g(0.0)
-    if kind == UGCPHI:
-        return 0.0, f(w0) * sym.g_d1(0.0)
-    if kind == CPHIUG:
-        return apply_ug(sym, f, n_work)(w0), f(w0) * sym.g_d1(w0) * sym.phi_d1(0.0)
-    if kind == CPHIVG:
-        return apply_vg(sym, f, n_work)(w0), f.derivative()(w0) * sym.g(w0) * sym.phi_d1(0.0)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    if kind in (VGCPHI, UGCPHI):
+        return 0.0, fk(w0) * h(0.0)
+    return volterra(sym, f, n_work)(w0), fk(w0) * h(w0) * sym.phi_d1(0.0)
 
 
 def image_zygmund_norm(kind: str, sym: SelfMapSymbol, f: TruncatedSeries,
@@ -214,8 +230,6 @@ def operator_norm_estimate(kind: str, sym: SelfMapSymbol, alpha: float,
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    from .spaces import zygmund_norm  # local import to avoid cycle at module load
-    grid = grid or default_grid()
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(sample_count):
@@ -231,73 +245,45 @@ def operator_norm_estimate(kind: str, sym: SelfMapSymbol, alpha: float,
 # -- symbol weights for the characterizations ---------------------------------
 
 
+#: the symbol weights (u1, u2) of each kind: (label, formula over a
+#: value provider with the attributes of ``SymbolValues``)
+WEIGHT_FORMULAS = {
+    VGCPHI: (("g*phi'", lambda v: v.g * v.phi1),
+             ("g'", lambda v: v.g1)),
+    UGCPHI: (("g'*phi'", lambda v: v.g1 * v.phi1),
+             ("g''", lambda v: v.g2)),
+    CPHIVG: (("g(phi)*phi'^2", lambda v: v.g_phi * v.phi1 ** 2),
+             ("g'(phi)*phi'^2+g(phi)*phi''",
+              lambda v: v.g1_phi * v.phi1 ** 2 + v.g_phi * v.phi2)),
+    CPHIUG: (("g'(phi)*phi'^2", lambda v: v.g1_phi * v.phi1 ** 2),
+             ("g''(phi)*phi'^2+g'(phi)*phi''",
+              lambda v: v.g2_phi * v.phi1 ** 2 + v.g1_phi * v.phi2)),
+}
+
+
+@dataclass(frozen=True)
 class SymbolWeight:
-    """A pointwise combination of g, phi and derivatives, e.g. g * phi'.
-
-    Callable at arbitrary points; ``on_grid`` returns (and memoizes) the
-    value table over a grid, assembled from the symbol's cached tables.
-    """
-
-    def __init__(self, label: str, pointwise, grid_fn):
-        self.label = label
-        self._pointwise = pointwise
-        self._grid_fn = grid_fn
-        self._memo: dict = {}
+    """A symbol weight u bound to a symbol: its label, which names the
+    formula in reports and in the results a grid context keeps, and its
+    formula over a value provider. Callable at points; ``on_grid`` gives
+    the table over a grid's points."""
+    label: str
+    formula: Callable
+    sym: SelfMapSymbol
 
     def __call__(self, z):
-        return self._pointwise(z)
+        return self.formula(SymbolValues(self.sym, z))
 
     def on_grid(self, grid: DiskGrid) -> np.ndarray:
-        key = id(grid)
-        if key not in self._memo:
-            self._memo[key] = self._grid_fn(grid)
-        return self._memo[key]
+        return self.formula(self.sym.context(grid))
 
 
 def symbol_weights(kind: str, sym: SelfMapSymbol) -> dict[str, SymbolWeight]:
     """The two symbol weights (u1, u2) entering each operator's conditions."""
-    gv = sym.grid_values
-    if kind == VGCPHI:
-        return {
-            "u1": SymbolWeight("g*phi'",
-                               lambda z: sym.g(z) * sym.phi_d1(z),
-                               lambda gr: gv(gr, "g") * gv(gr, "phi1")),
-            "u2": SymbolWeight("g'",
-                               lambda z: sym.g_d1(z),
-                               lambda gr: gv(gr, "g1")),
-        }
-    if kind == UGCPHI:
-        return {
-            "u1": SymbolWeight("g'*phi'",
-                               lambda z: sym.g_d1(z) * sym.phi_d1(z),
-                               lambda gr: gv(gr, "g1") * gv(gr, "phi1")),
-            "u2": SymbolWeight("g''",
-                               lambda z: sym.g_d2(z),
-                               lambda gr: gv(gr, "g2")),
-        }
-    if kind == CPHIVG:
-        return {
-            "u1": SymbolWeight("g(phi)*phi'^2",
-                               lambda z: sym.g(sym.phi(z)) * sym.phi_d1(z) ** 2,
-                               lambda gr: gv(gr, "g_phi") * gv(gr, "phi1") ** 2),
-            "u2": SymbolWeight("g'(phi)*phi'^2+g(phi)*phi''",
-                               lambda z: (sym.g_d1(sym.phi(z)) * sym.phi_d1(z) ** 2
-                                          + sym.g(sym.phi(z)) * sym.phi_d2(z)),
-                               lambda gr: (gv(gr, "g1_phi") * gv(gr, "phi1") ** 2
-                                           + gv(gr, "g_phi") * gv(gr, "phi2"))),
-        }
-    if kind == CPHIUG:
-        return {
-            "u1": SymbolWeight("g'(phi)*phi'^2",
-                               lambda z: sym.g_d1(sym.phi(z)) * sym.phi_d1(z) ** 2,
-                               lambda gr: gv(gr, "g1_phi") * gv(gr, "phi1") ** 2),
-            "u2": SymbolWeight("g''(phi)*phi'^2+g'(phi)*phi''",
-                               lambda z: (sym.g_d2(sym.phi(z)) * sym.phi_d1(z) ** 2
-                                          + sym.g_d1(sym.phi(z)) * sym.phi_d2(z)),
-                               lambda gr: (gv(gr, "g2_phi") * gv(gr, "phi1") ** 2
-                                           + gv(gr, "g1_phi") * gv(gr, "phi2"))),
-        }
-    raise ValueError(f"unknown operator kind {kind!r}")
+    if kind not in WEIGHT_FORMULAS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return {key: SymbolWeight(label, formula, sym)
+            for key, (label, formula) in zip(("u1", "u2"), WEIGHT_FORMULAS[kind])}
 
 
 # -- symbol families from JSON -------------------------------------------------

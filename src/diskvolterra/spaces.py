@@ -110,7 +110,8 @@ class DiskGrid:
     r_max = 1 - 2**-j_max. The octave points 1 - 2**-j are always included.
     Angles are equispaced. ``refine_depth`` golden-section passes (radius
     along the argmax ray, then angle at the refined radius) polish every
-    supremum taken over the grid.
+    supremum taken over the grid. A grid is not changed after construction:
+    symbols keep their results per grid object.
     """
 
     def __init__(self, radii_count: int = 20, angles: int = 512, j_max: int = 40,
@@ -158,7 +159,8 @@ _default_grid: DiskGrid | None = None
 
 
 def default_grid() -> DiskGrid:
-    """Shared default grid (built once so per-grid caches stay warm)."""
+    """Shared default grid, built once, so that every symbol keeps one
+    evaluation context for it across calls."""
     global _default_grid
     if _default_grid is None:
         _default_grid = DiskGrid()

@@ -6,7 +6,7 @@ import diskvolterra as dv
 
 @pytest.fixture(scope="session")
 def grid():
-    """Shared default grid so per-grid symbol caches stay warm."""
+    """Shared default grid, so each symbol's context for it is reused."""
     return dv.default_grid()
 
 

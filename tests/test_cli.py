@@ -131,6 +131,24 @@ def test_sweep_validation(tmp_path):
         run_sweep({"alphas": [0.0, 1.0]}, tmp_path)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"grid": {"angles": 8}},
+    {"phis": [{"family": "bogus"}]},
+    {"phis": [{"params": {"c": 0.5}}]},
+    {"phis": [{"family": "mobius", "params": {"a": 1.5}}]},
+    {"nseq": "abc"},
+    {"alphas": ["x"]},
+], ids=["grid-angles", "unknown-phi", "missing-phi-family", "mobius-outside-disk",
+        "nseq-not-a-number", "alpha-not-a-number"])
+def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_small_config(tmp_path):
     cfg = {
         "kinds": ["vgcphi", "cphiug"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import diskvolterra as dv
-from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight
+from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria
 from diskvolterra.essnorm import essnorm_conditions
 
 
@@ -98,6 +98,46 @@ def test_essential_norm_refuses_unbounded(grid):
     sym = sym_of([0, 1], [0, 1], grid)
     with pytest.raises(dv.OperatorNotBoundedError):
         dv.essential_norm("vgcphi", sym, 2.0, 1.0, grid, n_seq=1024)
+
+
+def test_essential_norm_rejects_a_report_for_another_operator(grid):
+    sym = sym_of([0, 0.5], [0, 1], grid)
+    report = dv.check_boundedness("vgcphi", sym, 1.0, 1.0, grid, n_seq=256)
+    assert report.verdict == "bounded"
+    for kind, alpha, beta in (("cphivg", 1.0, 1.0), ("vgcphi", 2.0, 1.0),
+                              ("vgcphi", 1.0, 2.0)):
+        with pytest.raises(ValueError, match="boundedness report"):
+            dv.essential_norm(kind, sym, alpha, beta, grid, n_seq=256,
+                              boundedness=report)
+    est = dv.essential_norm("vgcphi", sym, 1, 1, grid, n_seq=256,
+                            boundedness=report)
+    assert est.kind == "vgcphi"
+
+
+def test_essential_norm_reuses_the_boundedness_scans(grid, monkeypatch):
+    raw_sequence = criteria.raw_sequence
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return raw_sequence(*args)
+
+    monkeypatch.setattr(criteria, "raw_sequence", counted)
+    for kind, alpha in (("vgcphi", 1.0), ("cphivg", 2.5), ("cphiug", 1.5),
+                        ("ugcphi", 2.0)):
+        sym = sym_of([0, 0.9], [0, 1, 0.5], grid)
+        before = len(calls)
+        report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=512)
+        assert report.verdict == "bounded"
+        scans = len(calls)
+        assert scans - before == len(report.quantities)
+        est = dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=512,
+                                boundedness=report)
+        assert len(calls) == scans, kind
+        assert est.conditions and not any(c.diagnostic_only for c in est.conditions)
+        fresh = dv.essential_norm(kind, sym_of([0, 0.9], [0, 1, 0.5], grid), alpha,
+                                  1.0, grid, n_seq=512)
+        assert est.combined == fresh.combined
 
 
 def test_essential_norm_zero_cases(grid):

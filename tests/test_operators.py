@@ -217,3 +217,19 @@ def test_image_zygmund_norm_vs_series_route(grid):
     direct = dv.image_zygmund_norm("ugcphi", sym, f, 1.0, grid)
     series_route = dv.zygmund_norm(dv.apply_product("ugcphi", sym, f), 1.0, grid)
     assert direct == pytest.approx(series_route, rel=1e-9)
+
+
+def test_grid_contexts_never_alias():
+    # grids built, used and freed in turn: a cache keyed by id(grid) would
+    # hand a freed grid's tables to a new grid at the same address
+    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], dv.default_grid())
+    for i in range(200):
+        grid = dv.DiskGrid(8, 64, 12) if i % 2 else dv.DiskGrid(20, 128, 20)
+        shape = grid.points.shape
+        for key in ("phi", "phi1", "g2", "g1_phi", "abs_phi"):
+            assert sym.grid_values(grid, key).shape == shape, (i, key)
+        assert sym.grid_values(grid, "desc_order").shape == (grid.points.size,)
+        for kind in dv.KINDS:
+            for u in dv.symbol_weights(kind, sym).values():
+                assert u.on_grid(grid).shape == shape, (i, kind, u.label)
+        del grid
