@@ -177,6 +177,17 @@ def grid_from_args(args, cfg: dict | None = None) -> DiskGrid:
         raise ConfigError(str(exc)) from exc
 
 
+def check_operator_args(args) -> None:
+    """The exponent and sequence-length flags of criterion and essnorm, as
+    config errors before any work: alpha and beta must be positive and
+    finite, nseq at least 1."""
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
+    if args.nseq < 1:
+        raise ConfigError(f"--nseq must be >= 1, got {args.nseq}")
+
+
 def symbol_from_file(args, n_work: int, grid: DiskGrid) -> SelfMapSymbol:
     cfg = load_json_config(args.config)
     if "phi" not in cfg or "g" not in cfg:
@@ -591,6 +602,8 @@ def main(argv=None) -> int:
             return 0 if report["all_passed"] else 1
 
         grid = grid_from_args(args)
+        if args.command in ("criterion", "essnorm"):
+            check_operator_args(args)
 
         if args.command == "norms":
             sym = symbol_from_file(args, args.nwork, grid)

@@ -27,6 +27,9 @@ SEQUENCE_GROWTH_RATIO = 1.10
 #: quantities above this cap are treated as not finite
 FINITE_CAP = 1e8
 
+#: eps ladder 2^-k for the boundary-concentration filter |phi| > 1 - eps
+EPS_LADDER_RANGE = (3, 20)
+
 
 def scale_label(scale: tuple) -> str:
     if scale[0] == "log":
@@ -113,21 +116,52 @@ def u_values(u, values: SymbolValues):
     return u.formula(values) if isinstance(u, SymbolWeight) else u(values.z)
 
 
+def front_sequence(A: np.ndarray, p: np.ndarray, n_seq: int) -> np.ndarray:
+    """s_n = max_i A_i p_i^n for n = 0..n_seq over a Pareto front (p
+    descending, A ascending), from the upper envelope of the lines
+    log A_i + n log p_i: O(front + n_seq log hull).
+
+    Points with A = 0 or p = 0 give 0 for n >= 1 and are dropped there. The
+    maximiser moves toward larger p as n grows, so only the front slice
+    between the maximisers at n = 1 and n = n_seq can carry the envelope.
+    """
+    s = np.zeros(n_seq + 1)
+    if A.size:
+        s[0] = A.max()
+    live = (A > 0) & (p > 0)
+    if not live.any():
+        return s
+    A, p = A[live], p[live]
+    b, m = np.log(A), np.log(p)
+    lo, hi = sorted((int(np.argmax(b + n_seq * m)), int(np.argmax(b + m))))
+    hull: list[int] = []      # front indices by increasing slope log p
+    for i in range(hi, lo - 1, -1):
+        if hull and m[i] == m[hull[-1]]:
+            if b[i] <= b[hull[-1]]:
+                continue
+            hull.pop()
+        # the top line lies below where its two neighbours cross: drop it
+        while len(hull) >= 2 and ((b[hull[-2]] - b[hull[-1]]) * (m[i] - m[hull[-1]])
+                                  >= (b[hull[-1]] - b[i]) * (m[hull[-1]] - m[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    h = np.array(hull)
+    breaks = (b[h[:-1]] - b[h[1:]]) / (m[h[1:]] - m[h[:-1]])
+    n = np.arange(1, n_seq + 1)
+    k = h[np.searchsorted(breaks, n)]
+    s[1:] = A[k] * p[k] ** n
+    return s
+
+
 def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
-    """Read-only s_n = max over the grid of v(z)|u(z)||phi(z)|^n, n = 0..n_seq,
-    scanned over the Pareto front of (|phi|, v|u|): O(grid + n_seq * front)."""
+    """Read-only s_n = max over the grid of v(z)|u(z)||phi(z)|^n, n = 0..n_seq:
+    ``front_sequence`` over the Pareto front of (|phi|, v|u|), in
+    O(grid + front + n_seq log hull) once the context has sorted |phi|."""
     # u before any other grid-sized array: one allocated first made glibc
     # re-fault the heap in each Horner step of u's series tables (2.7x slower)
     uvals = u_values(u, ctx)
     A = weight(ctx.abs_z) * np.abs(uvals)
-    AA, pp = _pareto_front(A, ctx.abs_phi, ctx.desc_order)
-
-    s = np.empty(n_seq + 1)
-    cur = AA.copy()
-    for n in range(n_seq + 1):
-        s[n] = cur.max() if cur.size else 0.0
-        if n < n_seq:
-            cur *= pp
+    s = front_sequence(*_pareto_front(A, ctx.abs_phi, ctx.desc_order), n_seq)
     s.flags.writeable = False
     return s
 
@@ -174,15 +208,51 @@ def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
                        grid: DiskGrid | None = None) -> SupEstimate:
     """sup over the disk of ``expression``: the coarse pass reads the grid
     context's tables, refinement evaluates the same formula at single
-    points, and for a symbol weight the context keeps the estimate. It
-    carries divergence evidence when the sup sits on the outermost shells
-    and still grows there."""
+    points, and for a symbol weight the context keeps the estimate and,
+    from the same table, the ``boundary_ladder``. It carries divergence
+    evidence when the sup sits on the outermost shells and still grows
+    there."""
     grid = grid or default_grid()
     ctx = sym.context(grid)
-    key = ("sup", u.label, beta, form) if isinstance(u, SymbolWeight) else None
-    return ctx.cached(key, lambda: grid_supremum(
-        lambda z: expression(SymbolValues(sym, z), u, beta, form), grid,
-        grid_values=expression(ctx, u, beta, form)))
+    kept = isinstance(u, SymbolWeight)
+
+    def estimate():
+        table = expression(ctx, u, beta, form)
+        est = grid_supremum(lambda z: expression(SymbolValues(sym, z), u, beta, form),
+                            grid, grid_values=table)
+        if kept:
+            boundary_ladder(ctx, u, beta, form, table=table)
+        return est
+    return ctx.cached(("sup", u.label, beta, form) if kept else None, estimate)
+
+
+def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
+                    eps_range: tuple = EPS_LADDER_RANGE,
+                    table: np.ndarray | None = None) -> tuple:
+    """(eps, sups, nonempty) of ``expression`` over the rungs
+    {z : |phi(z)| > 1 - eps}, eps = 2^-k for k in eps_range; an empty rung
+    has sup 0. Once per context the grid indices with |phi| > 1 - max eps
+    are sorted by |phi| descending and counted per rung; then each ladder
+    is one gather of ``table`` (built here when not given) and one running
+    max. For a symbol weight the context keeps the ladder per
+    (u, beta, form, eps_range)."""
+    def rungs():
+        eps = tuple(2.0 ** (-k) for k in range(eps_range[0], eps_range[1] + 1))
+        outer = np.count_nonzero(ctx.abs_phi > 1.0 - max(eps, default=0.0))
+        idx = ctx.desc_order[:outer]
+        counts = np.searchsorted(-ctx.abs_phi.ravel()[idx],
+                                 -(1.0 - np.array(eps)), side="left")
+        return eps, idx, counts.tolist()
+
+    def ladder():
+        eps, idx, counts = ctx.cached(("rungs", eps_range), rungs)
+        vals = expression(ctx, u, beta, form) if table is None else table
+        prefix_max = np.maximum.accumulate(vals.ravel()[idx])
+        return (eps, tuple(float(prefix_max[c - 1]) if c > 0 else 0.0 for c in counts),
+                tuple(c > 0 for c in counts))
+    key = (("ladder", u.label, beta, form, eps_range)
+           if isinstance(u, SymbolWeight) else None)
+    return ctx.cached(key, ladder)
 
 
 @dataclass

@@ -15,16 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import (CriterionReport, check_boundedness, conditions_for,
-                       expression, form_label, scale_label, sequence_quantity)
+from .criteria import (EPS_LADDER_RANGE, CriterionReport, boundary_ladder,
+                       check_boundedness, conditions_for, form_label, scale_label,
+                       sequence_quantity)
 from .operators import CPHIUG, UGCPHI, SelfMapSymbol, symbol_weights
 from .spaces import DiskGrid, Weight, default_grid
 
 #: combined estimate below this is flagged compact
 COMPACT_TOL = 1e-3
-
-#: eps ladder 2^-k for the boundary-concentration filter
-EPS_LADDER_RANGE = (3, 20)
 
 
 class OperatorNotBoundedError(ValueError):
@@ -86,24 +84,15 @@ def boundary_limsup(u, sym: SelfMapSymbol, beta: float, form: tuple,
                     eps_range: tuple = EPS_LADDER_RANGE) -> BoundaryScan:
     """Sups of the pointwise expression over {z : |phi(z)| > 1 - eps}.
 
-    The expression is the one ``pointwise_quantity`` takes the sup of, over
-    the grid context's tables; sorted once by |phi| descending, every eps
-    filter is a prefix max. Empty prefixes (the
-    compact case ||phi|| < 1) contribute 0. The estimate is the max over
-    the last three nonempty rungs, annotated with their trend.
+    The sups are ``criteria.boundary_ladder``: for a symbol weight whose
+    sup ``pointwise_quantity`` has taken, the grid context already keeps
+    them; otherwise the expression table is built once here (no refined
+    sup is taken). Empty rungs (the compact case ||phi|| < 1) contribute 0.
+    The estimate is the max over the last three nonempty rungs, annotated
+    with their trend.
     """
     ctx = sym.context(grid or default_grid())
-    expr = expression(ctx, u, beta, form)
-    order = ctx.desc_order
-    w_sorted = ctx.abs_phi.ravel()[order]
-    prefix_max = np.maximum.accumulate(expr.ravel()[order])
-
-    eps = [2.0 ** (-k) for k in range(eps_range[0], eps_range[1] + 1)]
-    sups, nonempty = [], []
-    for e in eps:
-        count = int(np.searchsorted(-w_sorted, -(1.0 - e), side="left"))
-        nonempty.append(count > 0)
-        sups.append(float(prefix_max[count - 1]) if count > 0 else 0.0)
+    eps, sups, nonempty = map(list, boundary_ladder(ctx, u, beta, form, eps_range))
 
     live = [s for s, ne in zip(sups, nonempty) if ne]
     if not live:

@@ -101,7 +101,13 @@ class TruncatedSeries:
         zz = np.asarray(z)
         if zz.size and float(np.max(np.abs(zz))) > 1.0 + EVAL_DOMAIN_TOL:
             raise ValueError("evaluation point outside the closed unit disk")
-        vals = _poly.polyval(zz, self._coeffs)
+        # numpy polyval's arithmetic, bit for bit, in one output array:
+        # polyval allocates a new array in every step
+        vals = np.multiply(zz, 0, dtype=complex)
+        vals += self._coeffs[-1]
+        for c in self._coeffs[-2::-1]:
+            vals *= zz
+            vals += c
         if zz.ndim == 0:
             return complex(vals)
         return vals

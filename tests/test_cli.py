@@ -86,6 +86,18 @@ def test_criterion_cli_requires_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["criterion", "essnorm"])
+@pytest.mark.parametrize("flags", [["--alpha", "-1"], ["--beta", "0"], ["--alpha", "nan"],
+                                   ["--nseq", "0"]],
+                         ids=["alpha-negative", "beta-zero", "alpha-nan", "nseq-zero"])
+def test_operator_flag_errors_exit_2(tmp_path, capsys, command, flags):
+    sym = write_symbols(tmp_path)
+    rc = main([command, "--op", "vgcphi", "--alpha", "1", "--beta", "1", "--config", sym,
+               "--out", str(tmp_path / "out"), *SMALL_GRID, *flags])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_essnorm_cli(tmp_path):
     sym = write_symbols(tmp_path)
     rc = main(["essnorm", "--op", "cphiug", "--alpha", "2", "--beta", "1",

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight
-from diskvolterra.criteria import apply_scale, conditions_for, sequence_quantity, pointwise_quantity
+from diskvolterra.criteria import (_pareto_front, apply_scale, conditions_for, front_sequence,
+                                   pointwise_quantity, sequence_quantity)
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
@@ -87,6 +89,46 @@ def test_sequence_quantity_raw_matches_direct_max(grid):
     p = np.abs(sym.phi(grid.points))
     for n in (0, 3, 16):
         assert scan.raw[n] == pytest.approx(float(np.max(A * p ** n)), rel=1e-12)
+
+
+def loop_sequence(A, p, n_seq):
+    """The per-n scan that ``front_sequence`` replaces: max of A * p^n,
+    multiplying by p once per step."""
+    s = np.empty(n_seq + 1)
+    cur = A.copy()
+    for n in range(n_seq + 1):
+        s[n] = cur.max() if cur.size else 0.0
+        cur *= p
+    return s
+
+
+def random_fronts(rng):
+    """Pareto fronts of random points with zeros in A and p and ties in p,
+    plus a single point and an empty front."""
+    yield np.array([0.7]), np.array([0.99])
+    yield np.array([]), np.array([])
+    for _ in range(60):
+        size = int(rng.integers(1, 400))
+        A = rng.random(size) * 10.0 ** rng.uniform(-3, 3)
+        p = np.round(rng.random(size) ** 0.05, int(rng.integers(1, 5)))
+        A[rng.random(size) < 0.1] = 0.0
+        p[rng.random(size) < 0.1] = 0.0
+        p[int(rng.integers(size))] = rng.choice([0.0, 1.0])
+        yield _pareto_front(A, p, np.argsort(-p, kind="stable"))
+
+
+def test_front_sequence_matches_the_loop(rng):
+    # below the smallest normal float both sides lose relative precision
+    tiny = np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, p in random_fronts(rng):
+            for n_seq in (1, 2, 4096):
+                want = loop_sequence(A, p, n_seq)
+                got = front_sequence(A, p, n_seq)
+                assert got.shape == want.shape
+                assert got[0] == want[0]
+                assert np.all(np.abs(got - want) <= 1e-12 * want + tiny), (A.size, n_seq)
 
 
 def test_pointwise_quantity_weight_cancellation(grid):

@@ -5,7 +5,8 @@ import pytest
 
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria
-from diskvolterra.essnorm import essnorm_conditions
+from diskvolterra.essnorm import EPS_LADDER_RANGE, essnorm_conditions
+from diskvolterra.operators import GridContext
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
@@ -138,6 +139,51 @@ def test_essential_norm_reuses_the_boundedness_scans(grid, monkeypatch):
         fresh = dv.essential_norm(kind, sym_of([0, 0.9], [0, 1, 0.5], grid), alpha,
                                   1.0, grid, n_seq=512)
         assert est.combined == fresh.combined
+
+
+def prefix_max_ladder(table, abs_phi):
+    """The boundary ladder read off a full table: sort every grid point by
+    |phi| descending, take the running max and read it at each rung."""
+    w = abs_phi.ravel()
+    order = np.argsort(-w, kind="stable")
+    prefix_max = np.maximum.accumulate(table.ravel()[order])
+    sups, nonempty = [], []
+    for k in range(EPS_LADDER_RANGE[0], EPS_LADDER_RANGE[1] + 1):
+        count = int(np.searchsorted(-w[order], -(1.0 - 2.0 ** (-k)), side="left"))
+        nonempty.append(count > 0)
+        sups.append(float(prefix_max[count - 1]) if count > 0 else 0.0)
+    return sups, nonempty
+
+
+def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
+    expression = criteria.expression
+    tables = []
+
+    def counted(values, u, beta, form):
+        if isinstance(values, GridContext):
+            tables.append((u.label, beta, form))
+        return expression(values, u, beta, form)
+
+    monkeypatch.setattr(criteria, "expression", counted)
+    for kind, alpha in (("vgcphi", 1.0), ("cphivg", 2.5), ("cphiug", 0.5),
+                        ("ugcphi", 2.0)):
+        sym = sym_of([0, 0.9, 0.05], [0, 1, 0.5], grid)
+        report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=256)
+        assert report.verdict == "bounded"
+        seen = len(tables)
+        est = dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=256,
+                                boundedness=report)
+        built = tables[seen:]
+        assert len(set(tables)) == len(tables), kind
+        assert not set(built) & set(tables[:seen]), kind
+        assert len(built) == sum(c.diagnostic_only for c in est.conditions), kind
+        weights = {u.label: u for u in dv.symbol_weights(kind, sym).values()}
+        for c in est.conditions:
+            form = ("log",) if c.scale[0] == "log" else ("power", c.scale[1])
+            ctx = sym.context(grid)
+            table = expression(ctx, weights[c.u_label], 1.0, form)
+            sups, nonempty = prefix_max_ladder(table, ctx.abs_phi)
+            assert c.boundary.sups == sups and c.boundary.nonempty == nonempty, kind
 
 
 def test_essential_norm_zero_cases(grid):

@@ -46,6 +46,19 @@ def test_eval_vectorized_matches_scalar():
         assert abs(s(complex(z)) - v) < 1e-14
 
 
+def test_eval_arrays_equal_polyval(rng):
+    for degree in (0, 1, 7, 512):
+        s = random_series(rng, degree)
+        for z in (0.95 * rng.random((5, 9)) * np.exp(2j * np.pi * rng.random((5, 9))),
+                  rng.uniform(-1.0, 1.0, 33), np.array(0.3 - 0.4j), np.array(-0.5)):
+            want = np.polynomial.polynomial.polyval(z, s.coeffs)
+            got = s(z)
+            if z.ndim == 0:
+                assert isinstance(got, complex) and got == complex(want)
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_derivative_examples():
     assert TruncatedSeries([0, 0, 1]).derivative() == TruncatedSeries([0, 2])
     assert TruncatedSeries([5]).derivative() == TruncatedSeries([0])
