@@ -39,9 +39,10 @@ mob = symbol_from_config({"phi": {"family": "mobius", "params": {"a": 0.5}},
 show("vgcphi", mob, 1.0, 1.0)      # bounded
 show("vgcphi", mob, 2.0, 1.0)      # alpha > beta: divergence evidence
 
-# The truncated Cesaro symbol g = log(1/(1-z)) is a polynomial of high
-# degree here, so membership checks stay finite.
+# The Cesaro symbol g = log(1/(1-z)) is evaluated in closed form, so
+# g'' = 1/(1-z)^2 grows at z = 1 as the function does.
 ces = symbol_from_config({"phi": {"family": "scaled_identity", "params": {"c": 0.5}},
                           "g": {"family": "log_cesaro"}}, grid=grid)
-show("ugcphi", ces, 0.7, 1.0)      # membership-only case, 0 < alpha < 1
-show("cphiug", ces, 2.0, 1.0)      # two scaled conditions at alpha = 2
+show("ugcphi", ces, 0.7, 1.0)      # g'' leaves the beta = 1 space: not determined
+show("ugcphi", ces, 0.7, 2.5)      # membership-only case, 0 < alpha < 1
+show("cphiug", ces, 2.0, 1.0)      # g(phi) with |phi| <= 1/2: bounded

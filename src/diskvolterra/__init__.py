@@ -3,12 +3,12 @@
 The package computes both sides of every asymptotic comparability in the
 boundedness characterizations and essential-norm estimates for the four
 products of Volterra-type and composition operators, at desk scale:
-truncated-series arithmetic, weighted sup-norms over a refinable disk
+truncated-series arithmetic and closed-form symbols, weighted sup-norms over a refinable disk
 grid, boundary test-function families, and sequence/boundary limsup
 estimators, with a CLI for sweeps and convergence studies.
 """
 
-from .series import N_WORK, TruncatedSeries, monomial
+from .series import N_WORK, Analytic, ClosedForm, TruncatedSeries, monomial
 from .spaces import (DiskGrid, GrowthBoundReport, NonFiniteValueError, SupEstimate,
                      Weight, bloch_norm, default_grid, golden_max, grid_supremum,
                      growth_bound_check, monomial_norm, weighted_sup_norm,
@@ -30,7 +30,7 @@ from .essnorm import (BoundaryScan, ConditionEstimate, EssNormEstimate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "N_WORK", "TruncatedSeries", "monomial",
+    "N_WORK", "Analytic", "ClosedForm", "TruncatedSeries", "monomial",
     "DiskGrid", "GrowthBoundReport", "NonFiniteValueError", "SupEstimate",
     "Weight", "bloch_norm", "default_grid", "golden_max", "grid_supremum",
     "growth_bound_check", "monomial_norm", "weighted_sup_norm", "zygmund_norm",

@@ -30,7 +30,7 @@ from .criteria import CriterionReport, check_boundedness
 from .essnorm import (EssNormEstimate, OperatorNotBoundedError, essential_norm)
 from .operators import (KINDS, SelfMapSymbol, apply_product, apply_ug, apply_vg,
                         product_second_derivative, symbol_from_config)
-from .series import N_WORK, TruncatedSeries
+from .series import TruncatedSeries
 from .spaces import DiskGrid, Weight, bloch_norm, monomial_norm, weighted_sup_norm, zygmund_norm
 from .testfns import verify_family_claims
 
@@ -55,7 +55,6 @@ DEFAULT_SWEEP_CONFIG = {
     "alphas": [0.5, 1.0, 1.5, 2.0, 2.5],
     "betas": [0.5, 1.0, 1.5, 2.0, 2.5],
     "nseq": 4096,
-    "nwork": N_WORK,
     "seed": 42,
     "compact_tol": 1e-3,
     "grid": {},
@@ -188,12 +187,12 @@ def check_operator_args(args) -> None:
         raise ConfigError(f"--nseq must be >= 1, got {args.nseq}")
 
 
-def symbol_from_file(args, n_work: int, grid: DiskGrid) -> SelfMapSymbol:
+def symbol_from_file(args, grid: DiskGrid) -> SelfMapSymbol:
     cfg = load_json_config(args.config)
     if "phi" not in cfg or "g" not in cfg:
         raise ConfigError('symbol config must contain "phi" and "g" entries')
     try:
-        return symbol_from_config(cfg, n_work=n_work, grid=grid)
+        return symbol_from_config(cfg, grid=grid)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad symbol config: {exc}") from exc
 
@@ -468,13 +467,12 @@ def run_sweep(cfg: dict, out_dir: Path) -> list:
         cfg = _validate_sweep_config(cfg)
         grid = DiskGrid.from_config(cfg.get("grid", {}))
         n_seq = int(cfg["nseq"])
-        n_work = int(cfg["nwork"])
         compact_tol = float(cfg["compact_tol"])
         symbols = {}
         for pi, phi_spec in enumerate(cfg["phis"]):
             for gi, g_spec in enumerate(cfg["gs"]):
                 symbols[(pi, gi)] = symbol_from_config(
-                    {"phi": phi_spec, "g": g_spec}, n_work=n_work, grid=grid)
+                    {"phi": phi_spec, "g": g_spec}, grid=grid)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep config: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -540,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--nseq", type=int, default=4096)
-    common.add_argument("--nwork", type=int, default=N_WORK)
     common.add_argument("--grid-angles", type=int, default=None)
     common.add_argument("--jmax", type=int, default=None)
 
@@ -606,7 +603,7 @@ def main(argv=None) -> int:
             check_operator_args(args)
 
         if args.command == "norms":
-            sym = symbol_from_file(args, args.nwork, grid)
+            sym = symbol_from_file(args, grid)
             run_norms(sym, _parse_floats(args.alphas), grid, out_dir)
             print(f"norms: wrote {out_dir / 'norms.json'}")
             return 0
@@ -623,14 +620,14 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "criterion":
-            sym = symbol_from_file(args, args.nwork, grid)
+            sym = symbol_from_file(args, grid)
             report = run_criterion(args.op, sym, args.alpha, args.beta, grid,
                                    args.nseq, out_dir)
             print(f"criterion {args.op}: verdict {report.verdict}")
             return 0
 
         if args.command == "essnorm":
-            sym = symbol_from_file(args, args.nwork, grid)
+            sym = symbol_from_file(args, grid)
             try:
                 est = run_essnorm(args.op, sym, args.alpha, args.beta, grid,
                                   args.nseq, out_dir)

@@ -85,14 +85,14 @@ class SequenceScan:
     growing: bool         # trailing-window growth beyond the evidence ratio
 
 
-def _pareto_front(A: np.ndarray, p: np.ndarray, order: np.ndarray):
-    """Grid points that can realize max A * p**n for some n >= 0.
+def _pareto_front(A: np.ndarray, ps: np.ndarray, order: np.ndarray):
+    """Grid points that can realize max A * p**n for some n >= 0, from
+    ``ps``, the p values sorted descending by ``order``.
 
     With points sorted by p descending, a point survives iff its A exceeds
     every A seen at larger p. The survivors are what every n-scan needs.
     """
     As = A.ravel()[order]
-    ps = p.ravel()[order]
     running = np.maximum.accumulate(np.concatenate(([-np.inf], As[:-1])))
     keep = As > running
     return As[keep], ps[keep]
@@ -156,12 +156,13 @@ def front_sequence(A: np.ndarray, p: np.ndarray, n_seq: int) -> np.ndarray:
 def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
     """Read-only s_n = max over the grid of v(z)|u(z)||phi(z)|^n, n = 0..n_seq:
     ``front_sequence`` over the Pareto front of (|phi|, v|u|), in
-    O(grid + front + n_seq log hull) once the context has sorted |phi|."""
+    O(grid + front + n_seq log hull) once the context has sorted |phi|.
+    The radial weight v is taken per radius and broadcast along the rows."""
     # u before any other grid-sized array: one allocated first made glibc
     # re-fault the heap in each Horner step of u's series tables (2.7x slower)
     uvals = u_values(u, ctx)
-    A = weight(ctx.abs_z) * np.abs(uvals)
-    s = front_sequence(*_pareto_front(A, ctx.abs_phi, ctx.desc_order), n_seq)
+    A = weight(ctx.radii)[:, None] * np.abs(uvals)
+    s = front_sequence(*_pareto_front(A, ctx.abs_phi_desc, ctx.desc_order), n_seq)
     s.flags.writeable = False
     return s
 
@@ -240,7 +241,7 @@ def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
         eps = tuple(2.0 ** (-k) for k in range(eps_range[0], eps_range[1] + 1))
         outer = np.count_nonzero(ctx.abs_phi > 1.0 - max(eps, default=0.0))
         idx = ctx.desc_order[:outer]
-        counts = np.searchsorted(-ctx.abs_phi.ravel()[idx],
+        counts = np.searchsorted(-ctx.abs_phi_desc[:outer],
                                  -(1.0 - np.array(eps)), side="left")
         return eps, idx, counts.tolist()
 

@@ -1,10 +1,14 @@
 """Volterra-type operators, composition products, and symbol machinery.
 
-Two routes exist for every product operator: a series-to-series transform
-(used to serialize images and to cross-validate), and pointwise evaluators
-for the first/second derivatives assembled from the symbol derivatives,
-which carry no composition-truncation error and therefore feed all norm
-estimates near the boundary. Symbol weights are formulas over ``SymbolValues``.
+Symbols phi and g are read through the ``series.Analytic`` protocol: the
+Mobius map and log(1/(1-z)) are closed forms, the other families are
+polynomials. Two routes exist for every product operator: a
+series-to-series transform (used to serialize images and to
+cross-validate), which reads each symbol's ``series(n_work)`` and is the
+only place the working degree n_work enters; and pointwise evaluators for
+the first/second derivatives assembled from the symbol derivatives, which
+carry no truncation error and therefore feed all norm estimates near the
+boundary. Symbol weights are formulas over ``SymbolValues``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import N_WORK, TruncatedSeries
+from .series import N_WORK, Analytic, ClosedForm, TruncatedSeries
 from .spaces import (DiskGrid, Weight, default_grid, golden_max, weighted_sup_norm,
                      zygmund_norm)
 
@@ -42,8 +46,8 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
-#: value-provider name -> (symbol series attribute, evaluated at phi(z))
-_SERIES = {
+#: value-provider name -> (symbol attribute, evaluated at phi(z))
+_SYMBOL_ATTRS = {
     "phi": ("phi", False), "phi1": ("phi_d1", False), "phi2": ("phi_d2", False),
     "g": ("g", False), "g1": ("g_d1", False), "g2": ("g_d2", False),
     "g_phi": ("g", True), "g1_phi": ("g_d1", True), "g2_phi": ("g_d2", True),
@@ -53,8 +57,8 @@ _SERIES = {
 class SymbolValues:
     """Values of a symbol at fixed points z, each computed on first access:
     phi, phi1, phi2, g, g1, g2 (at z), g_phi, g1_phi, g2_phi (at phi(z)),
-    abs_phi = |phi(z)|, abs_z = |z| and desc_order (the argsort of -|phi|
-    over the flattened points)."""
+    abs_phi = |phi(z)|, abs_z = |z|, desc_order (the argsort of -|phi|
+    over the flattened points) and abs_phi_desc (|phi| in that order)."""
 
     def __init__(self, sym, z):
         self.z = z
@@ -67,9 +71,11 @@ class SymbolValues:
             val = np.abs(self.z)
         elif key == "desc_order":
             val = np.argsort(-self.abs_phi.ravel(), kind="stable")
-        elif key in _SERIES:
-            series, at_phi = _SERIES[key]
-            val = getattr(self._sym, series)(self.phi if at_phi else self.z)
+        elif key == "abs_phi_desc":
+            val = self.abs_phi.ravel()[self.desc_order]
+        elif key in _SYMBOL_ATTRS:
+            name, at_phi = _SYMBOL_ATTRS[key]
+            val = getattr(self._sym, name)(self.phi if at_phi else self.z)
         else:
             raise AttributeError(key)
         setattr(self, key, val)
@@ -79,11 +85,13 @@ class SymbolValues:
 class GridContext(SymbolValues):
     """Everything computed for one symbol on one grid, filled on first use:
     the ``SymbolValues`` over ``grid.points`` (abs_z is the exact ladder
-    radius) and, through ``cached``, raw sequence scans and sup estimates."""
+    radius, broadcast from ``radii``) and, through ``cached``, raw sequence
+    scans and sup estimates."""
 
     def __init__(self, sym, grid: DiskGrid):
         super().__init__(sym, grid.points)
         self.abs_z = grid.abs_points
+        self.radii = grid.radii
         self._results: dict = {}
 
     def cached(self, key, compute):
@@ -96,48 +104,58 @@ class GridContext(SymbolValues):
 
 
 class SelfMapSymbol:
-    """A validated analytic self-map phi together with an outer symbol g.
+    """A validated analytic self-map phi together with an outer symbol g,
+    both ``Analytic``.
 
-    The sup-modulus of phi over the circle |z| = r_max is certified at
-    construction (by the maximum principle this bounds |phi| on the capped
-    disk); candidates exceeding 1 + 1e-9 are rejected. The series and their
-    first and second derivatives are fixed at construction. Per grid, the
-    symbol keeps one ``GridContext``, made on first use and keyed weakly by
-    the grid object itself: it lives as long as the grid does and can never
-    serve another grid.
+    The sup-modulus ``phi_sup_modulus`` of phi over the circle
+    |z| = ``r_certified`` is certified at construction, with r_certified
+    the grid's r_max; by the maximum principle it bounds |phi| on the
+    capped disk. Candidates exceeding 1 + 1e-9 are rejected with
+    ``InvalidSelfMapError``. The symbols and their first and second
+    derivatives are fixed at construction. Per grid, the symbol keeps one
+    ``GridContext``, made on first use and keyed weakly by the grid object
+    itself: it lives as long as the grid does and can never serve another
+    grid. A grid reaching past r_certified is certified first.
     """
 
-    def __init__(self, phi: TruncatedSeries, g: TruncatedSeries,
-                 grid: DiskGrid | None = None):
+    def __init__(self, phi: Analytic, g: Analytic, grid: DiskGrid | None = None):
         self.phi = phi
         self.g = g
         self.phi_d1 = phi.derivative()
         self.phi_d2 = self.phi_d1.derivative()
         self.g_d1 = g.derivative()
         self.g_d2 = self.g_d1.derivative()
-        r_max = (grid or default_grid()).r_max
-        self.phi_sup_modulus = self._certify(phi, r_max)
-        if self.phi_sup_modulus > 1.0 + SELF_MAP_TOL:
-            raise InvalidSelfMapError(
-                f"sup |phi| = {self.phi_sup_modulus:.12g} on |z| = {r_max} "
-                "exceeds 1; phi is not a self-map of the disk")
+        self._certify((grid or default_grid()).r_max)
         self._contexts = weakref.WeakKeyDictionary()
 
-    @staticmethod
-    def _certify(phi: TruncatedSeries, r_max: float, n_angles: int = 4096) -> float:
-        def modulus(t):
-            return abs(np.polynomial.polynomial.polyval(r_max * np.exp(1j * t),
-                                                        phi.coeffs))
-        th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-        vals = modulus(th)
-        j = int(np.argmax(vals))
-        dth = 2.0 * np.pi / n_angles
-        _, refined = golden_max(modulus, th[j] - dth, th[j] + dth)
-        return max(float(vals[j]), float(refined))
+    def _certify(self, r_max: float, n_angles: int = 4096) -> None:
+        """Set phi_sup_modulus to sup |phi| over |z| = r_max: exact for a
+        Mobius map, else the max over n_angles equispaced angles refined by
+        golden section. Raises InvalidSelfMapError above 1 + SELF_MAP_TOL."""
+        phi = self.phi
+        if isinstance(phi, ClosedForm) and phi.kind == "mobius" and phi.order == 0:
+            # attained where z points away from a
+            sup = (abs(phi.a) + r_max) / (1.0 + abs(phi.a) * r_max)
+        else:
+            def modulus(t):
+                return abs(phi(r_max * np.exp(1j * t)))
+            th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+            vals = modulus(th)
+            j = int(np.argmax(vals))
+            dth = 2.0 * np.pi / n_angles
+            _, refined = golden_max(modulus, th[j] - dth, th[j] + dth)
+            sup = max(float(vals[j]), float(refined))
+        if sup > 1.0 + SELF_MAP_TOL:
+            raise InvalidSelfMapError(
+                f"sup |phi| = {sup:.12g} on |z| = {r_max} "
+                "exceeds 1; phi is not a self-map of the disk")
+        self.phi_sup_modulus, self.r_certified = sup, r_max
 
     def context(self, grid: DiskGrid) -> GridContext:
         """The evaluation context of this symbol on ``grid``."""
         if grid not in self._contexts:
+            if grid.r_max > self.r_certified:
+                self._certify(grid.r_max)
             # through a proxy, so the symbol and its contexts form no cycle
             self._contexts[grid] = GridContext(weakref.proxy(self), grid)
         return self._contexts[grid]
@@ -153,26 +171,30 @@ class SelfMapSymbol:
 def apply_ug(sym: SelfMapSymbol, f: TruncatedSeries,
              n_work: int = N_WORK) -> TruncatedSeries:
     """integral from 0 to z of f * g'; vanishes at 0."""
-    return f.mul(sym.g_d1, n_work).integrate()
+    return f.mul(sym.g_d1.series(n_work), n_work).integrate()
 
 
 def apply_vg(sym: SelfMapSymbol, f: TruncatedSeries,
              n_work: int = N_WORK) -> TruncatedSeries:
     """integral from 0 to z of f' * g; vanishes at 0."""
-    return f.derivative().mul(sym.g, n_work).integrate()
+    return f.derivative().mul(sym.g.series(n_work), n_work).integrate()
 
 
 def apply_product(kind: str, sym: SelfMapSymbol, f: TruncatedSeries,
                   n_work: int = N_WORK) -> TruncatedSeries:
-    """Series form of the four composition products."""
+    """Series form of the four composition products, with every symbol
+    read as its ``series(n_work)``."""
+    phi = sym.phi.series(n_work)
     if kind == VGCPHI:
-        return f.derivative().compose(sym.phi, n_work).mul(sym.g, n_work).integrate()
+        inner = f.derivative().compose(phi, n_work)
+        return inner.mul(sym.g.series(n_work), n_work).integrate()
     if kind == UGCPHI:
-        return f.compose(sym.phi, n_work).mul(sym.g_d1, n_work).integrate()
+        inner = f.compose(phi, n_work)
+        return inner.mul(sym.g_d1.series(n_work), n_work).integrate()
     if kind == CPHIUG:
-        return apply_ug(sym, f, n_work).compose(sym.phi, n_work)
+        return apply_ug(sym, f, n_work).compose(phi, n_work)
     if kind == CPHIVG:
-        return apply_vg(sym, f, n_work).compose(sym.phi, n_work)
+        return apply_vg(sym, f, n_work).compose(phi, n_work)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -185,8 +207,8 @@ def product_second_derivative(kind: str, sym: SelfMapSymbol,
 
     It is u1 f^(k+1)(phi) + u2 f^(k)(phi) with the kind's symbol weights,
     k = 1 for the V-type and k = 0 for the U-type products. Every factor is
-    a symbol series evaluated at z or phi(z), so there is no
-    composition-truncation error. Accepts scalars or arrays.
+    a symbol evaluated at z or phi(z), so there is no composition-truncation
+    error. Accepts scalars or arrays.
     """
     u1, u2 = symbol_weights(kind, sym).values()
     v = SymbolValues(sym, z)
@@ -196,7 +218,8 @@ def product_second_derivative(kind: str, sym: SelfMapSymbol,
 
 def _image_at_zero(kind: str, sym: SelfMapSymbol, f: TruncatedSeries,
                    n_work: int = N_WORK) -> tuple[complex, complex]:
-    """(Tf)(0) and (Tf)'(0), exactly: (V_g f)' = f' g and (U_g f)' = f g'."""
+    """(Tf)(0) and (Tf)'(0) from (V_g f)' = f' g and (U_g f)' = f g'; the
+    values (V_g f)(phi(0)) and (U_g f)(phi(0)) take the series route."""
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     fk, h, volterra = ((f.derivative(), sym.g, apply_vg) if kind in V_KINDS
@@ -289,47 +312,35 @@ def symbol_weights(kind: str, sym: SelfMapSymbol) -> dict[str, SymbolWeight]:
 # -- symbol families from JSON -------------------------------------------------
 
 
-def phi_from_config(spec: dict, n_work: int = N_WORK) -> TruncatedSeries:
-    """Inner-symbol families: scaled_identity, mobius, poly."""
+def phi_from_config(spec: dict) -> Analytic:
+    """Inner-symbol families: scaled_identity, mobius (a closed form), poly."""
     family = spec.get("family")
     params = spec.get("params", {})
     if family == "scaled_identity":
         c = _as_complex(params.get("c", 1.0))
         return TruncatedSeries([0.0, c])
     if family == "mobius":
-        a = _as_complex(params["a"])
-        if not abs(a) < 1:
-            raise ValueError("mobius parameter must satisfy |a| < 1")
-        # (a - z)/(1 - conj(a) z): c_0 = a, c_k = conj(a)^(k-1) (|a|^2 - 1)
-        k = np.arange(1, n_work + 1)
-        coeffs = np.empty(n_work + 1, dtype=complex)
-        coeffs[0] = a
-        coeffs[1:] = np.conj(a) ** (k - 1) * (abs(a) ** 2 - 1.0)
-        return TruncatedSeries(coeffs)
+        return ClosedForm("mobius", _as_complex(params["a"]))
     if family == "poly":
         return TruncatedSeries([_as_complex(c) for c in params["coeffs"]])
     raise ValueError(f"unknown phi family {family!r}")
 
 
-def g_from_config(spec: dict, n_work: int = N_WORK) -> TruncatedSeries:
-    """Outer-symbol families: identity, log_cesaro, poly."""
+def g_from_config(spec: dict) -> Analytic:
+    """Outer-symbol families: identity, log_cesaro (the closed form
+    log(1/(1-z))), poly."""
     family = spec.get("family")
     params = spec.get("params", {})
     if family == "identity":
         return TruncatedSeries([0.0, 1.0])
     if family == "log_cesaro":
-        # log(1/(1-z)) truncated: coefficients 1/k
-        coeffs = np.zeros(n_work + 1, dtype=complex)
-        coeffs[1:] = 1.0 / np.arange(1, n_work + 1)
-        return TruncatedSeries(coeffs)
+        return ClosedForm("log")
     if family == "poly":
         return TruncatedSeries([_as_complex(c) for c in params["coeffs"]])
     raise ValueError(f"unknown g family {family!r}")
 
 
-def symbol_from_config(spec: dict, n_work: int = N_WORK,
-                       grid: DiskGrid | None = None) -> SelfMapSymbol:
+def symbol_from_config(spec: dict, grid: DiskGrid | None = None) -> SelfMapSymbol:
     """Build a SelfMapSymbol from {"phi": {...}, "g": {...}}."""
-    return SelfMapSymbol(phi_from_config(spec["phi"], n_work),
-                         g_from_config(spec["g"], n_work),
+    return SelfMapSymbol(phi_from_config(spec["phi"]), g_from_config(spec["g"]),
                          grid=grid)

@@ -1,14 +1,21 @@
-"""Truncated power series with complex coefficients on the unit disk.
+"""Analytic functions on the unit disk: truncated power series and closed forms.
 
-Every analytic function handled by this package is carried as a finite
-coefficient vector (coefficient of z**k at index k). Differentiation and
-integration are exact on coefficients; products and compositions are
-truncated at a working degree and each truncating operation records an
-upper bound on the sup-norm (over the closed disk) of the discarded tail
-in ``tail_bound``, so downstream sup-norm estimates stay honest.
+Every symbol is read through one small protocol, ``Analytic``: values at
+scalars and arrays, the derivative, Taylor coefficients and a truncated
+series for the series route. ``TruncatedSeries`` implements it for
+polynomials: differentiation and integration are exact on coefficients;
+products and compositions are truncated at a working degree and each
+truncating operation records an upper bound on the sup-norm (over the
+closed disk) of the discarded tail in ``tail_bound``. ``ClosedForm``
+implements it for the Mobius map and log(1/(1-z)) by their formulas, so
+they are evaluated as the functions they name, with no truncation.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
+from typing import Protocol
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
@@ -18,6 +25,29 @@ N_WORK = 512
 
 #: evaluation is restricted to the closed unit disk, with this much slack
 EVAL_DOMAIN_TOL = 1e-12
+
+
+class Analytic(Protocol):
+    """What the package reads of an analytic function on the disk."""
+
+    def __call__(self, z):
+        """Value at a scalar (complex) or at an ndarray of points."""
+
+    def derivative(self) -> "Analytic":
+        """The derivative, in the same representation."""
+
+    def coefficient(self, k: int) -> complex:
+        """Taylor coefficient of z**k at 0."""
+
+    def series(self, n_work: int) -> "TruncatedSeries":
+        """Coefficients for the series route, truncated at degree n_work."""
+
+
+def _check_domain(z) -> None:
+    """Points with |z| > 1 + EVAL_DOMAIN_TOL are a domain violation."""
+    big = abs(z) if isinstance(z, complex) else np.max(np.abs(z), initial=0.0)
+    if big > 1.0 + EVAL_DOMAIN_TOL:
+        raise ValueError("evaluation point outside the closed unit disk")
 
 
 class TruncatedSeries:
@@ -60,6 +90,10 @@ class TruncatedSeries:
         """Coefficient of z**k (0 beyond the stored degree)."""
         return complex(self._coeffs[k]) if 0 <= k <= self.degree else 0.0
 
+    def series(self, n_work: int = N_WORK) -> "TruncatedSeries":
+        """The series itself: its coefficients are exact at any n_work."""
+        return self
+
     def l1(self) -> float:
         """Sum of coefficient moduli; bounds sup|f| on the closed disk."""
         return float(np.sum(np.abs(self._coeffs)))
@@ -90,8 +124,7 @@ class TruncatedSeries:
         """
         if isinstance(z, (int, float, complex)):
             zc = complex(z)
-            if abs(zc) > 1.0 + EVAL_DOMAIN_TOL:
-                raise ValueError("evaluation point outside the closed unit disk")
+            _check_domain(zc)
             if self._clist is None:
                 self._clist = [complex(c) for c in self._coeffs[::-1]]
             acc = 0j
@@ -99,8 +132,7 @@ class TruncatedSeries:
                 acc = acc * zc + c
             return acc
         zz = np.asarray(z)
-        if zz.size and float(np.max(np.abs(zz))) > 1.0 + EVAL_DOMAIN_TOL:
-            raise ValueError("evaluation point outside the closed unit disk")
+        _check_domain(zz)
         # numpy polyval's arithmetic, bit for bit, in one output array:
         # polyval allocates a new array in every step
         vals = np.multiply(zz, 0, dtype=complex)
@@ -228,3 +260,94 @@ def monomial(k: int, coefficient: complex = 1.0) -> TruncatedSeries:
     c = np.zeros(k + 1, dtype=complex)
     c[k] = coefficient
     return TruncatedSeries(c)
+
+
+class ClosedForm:
+    """A symbol given by its formula, or its derivative of some order:
+
+    * ``"mobius"``: the disk automorphism (a - z)/(1 - conj(a) z), |a| < 1;
+    * ``"log"``: log(1/(1-z)) on the principal branch; 1 - z has positive
+      real part on the disk, so no branch cut is ever crossed.
+
+    With d = 1 - b z (b = conj(a), resp. b = 1), the value is (a - z)/d,
+    resp. -log(d), and the derivative of order m >= 1 is c_m / d**p: for
+    the Mobius map c_m = m! b**(m-1) (|a|^2 - 1) and p = m + 1, for the log
+    c_m = (m-1)! and p = m. Arrays are evaluated in one output array, as
+    the Horner loop of ``TruncatedSeries`` is; only the Mobius value also
+    forms a - z.
+    """
+
+    __slots__ = ("kind", "a", "order", "_s", "_b", "_c", "_p")
+
+    def __init__(self, kind: str, a: complex = 0.0, order: int = 0):
+        a = complex(a)
+        if kind not in ("mobius", "log"):
+            raise ValueError(f"unknown closed form {kind!r}")
+        if kind == "mobius" and not abs(a) < 1:
+            raise ValueError("mobius parameter must satisfy |a| < 1")
+        if order < 0 or int(order) != order:
+            raise ValueError("order must be a nonnegative integer")
+        self.kind, self.a, self.order = kind, a, int(order)
+        m = self.order
+        self._s = (abs(a) - 1.0) * (abs(a) + 1.0)     # |a|^2 - 1
+        if kind == "mobius":
+            self._b = a.conjugate()
+            self._c = math.factorial(m) * self._b ** (m - 1) * self._s if m else None
+            self._p = m + 1
+        else:
+            self._b = 1.0 + 0j
+            self._c = float(math.factorial(m - 1)) if m else None
+            self._p = m
+
+    def __repr__(self) -> str:
+        return f"ClosedForm({self.kind!r}, a={self.a!r}, order={self.order})"
+
+    def __call__(self, z):
+        """Value at points of the closed unit disk (ValueError outside)."""
+        if isinstance(z, (int, float, complex)):
+            z = complex(z)
+            _check_domain(z)
+            d = 1.0 - self._b * z
+            if self.order:
+                return self._c * (1.0 / d) ** self._p
+            if self.kind == "log":
+                return -cmath.log(d)
+            return (self.a - z) / d
+        zz = np.asarray(z)
+        _check_domain(zz)
+        out = np.multiply(zz, -self._b, out=np.empty(zz.shape, dtype=complex))
+        out += 1.0                                    # d
+        if self.order:
+            np.reciprocal(out, out=out)
+            np.power(out, self._p, out=out)
+            out *= self._c
+        elif self.kind == "log":
+            np.log(out, out=out)
+            np.negative(out, out=out)
+        else:
+            np.divide(np.subtract(self.a, zz), out, out=out)
+        if zz.ndim == 0:
+            return complex(out)
+        return out
+
+    def derivative(self) -> "ClosedForm":
+        return ClosedForm(self.kind, self.a, self.order + 1)
+
+    def coefficient(self, k: int) -> complex:
+        """Taylor coefficient of z**k: (k+1)...(k+m) times the coefficient
+        of z**(k+m) of the function, which is a, resp. 0, at k + m = 0 and
+        conj(a)**(j-1) (|a|^2 - 1), resp. 1/j, at j = k + m >= 1."""
+        if k < 0:
+            return 0j
+        j = k + self.order
+        if self.kind == "log":
+            base = 1.0 / j if j else 0.0
+        elif j:
+            base = self._b ** (j - 1) * self._s
+        else:
+            base = self.a
+        return complex(base * math.prod(range(k + 1, j + 1)))
+
+    def series(self, n_work: int = N_WORK) -> TruncatedSeries:
+        """The Taylor polynomial of degree n_work."""
+        return TruncatedSeries([self.coefficient(k) for k in range(n_work + 1)])

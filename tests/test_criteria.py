@@ -7,7 +7,7 @@ import pytest
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight
 from diskvolterra.criteria import (_pareto_front, apply_scale, conditions_for, front_sequence,
-                                   pointwise_quantity, sequence_quantity)
+                                   pointwise_quantity, raw_sequence, sequence_quantity)
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
@@ -91,6 +91,21 @@ def test_sequence_quantity_raw_matches_direct_max(grid):
         assert scan.raw[n] == pytest.approx(float(np.max(A * p ** n)), rel=1e-12)
 
 
+def test_raw_sequence_equals_the_full_table_construction(grid):
+    # the weight taken per radius and |phi| gathered once per context give
+    # the very numbers of the grid-sized weight table and per-scan gather
+    sym = sym_of([0, 0.3, 0.6], [0, 1, 0.5], grid)
+    ctx = sym.context(grid)
+    p = np.abs(sym.phi(grid.points))
+    for kind in dv.KINDS:
+        for u in dv.symbol_weights(kind, sym).values():
+            for w in (Weight.standard(0.5), Weight.standard(2.5), Weight.logarithmic()):
+                A = w(grid.abs_points) * np.abs(u.on_grid(grid))
+                order = np.argsort(-p.ravel(), kind="stable")
+                want = front_sequence(*_pareto_front(A, p.ravel()[order], order), 64)
+                assert np.array_equal(raw_sequence(ctx, u, w, 64), want), (kind, u.label)
+
+
 def loop_sequence(A, p, n_seq):
     """The per-n scan that ``front_sequence`` replaces: max of A * p^n,
     multiplying by p once per step."""
@@ -114,7 +129,8 @@ def random_fronts(rng):
         A[rng.random(size) < 0.1] = 0.0
         p[rng.random(size) < 0.1] = 0.0
         p[int(rng.integers(size))] = rng.choice([0.0, 1.0])
-        yield _pareto_front(A, p, np.argsort(-p, kind="stable"))
+        order = np.argsort(-p, kind="stable")
+        yield _pareto_front(A, p[order], order)
 
 
 def test_front_sequence_matches_the_loop(rng):
