@@ -1,8 +1,8 @@
 """Weights, the disk grid, and the norms built on weighted suprema.
 
 Suprema over the disk are estimated on a radial/angular grid whose radii
-pile up geometrically at the boundary, then polished by golden-section
-refinement around the coarse argmax.
+pile up geometrically at the boundary, then polished by a zoom: ever
+smaller (r, theta) patches around the coarse argmax, each evaluated at once.
 """
 
 import math

@@ -208,8 +208,8 @@ def expression(values: SymbolValues, u, beta: float, form: tuple):
 def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
                        grid: DiskGrid | None = None) -> SupEstimate:
     """sup over the disk of ``expression``: the coarse pass reads the grid
-    context's tables, refinement evaluates the same formula at single
-    points, and for a symbol weight the context keeps the estimate and,
+    context's tables, the zoom evaluates the same formula on small patches,
+    and for a symbol weight the context keeps the estimate and,
     from the same table, the ``boundary_ladder``. It carries divergence
     evidence when the sup sits on the outermost shells and still grows
     there."""

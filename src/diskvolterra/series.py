@@ -4,16 +4,14 @@ Every symbol is read through one small protocol, ``Analytic``: values at
 scalars and arrays, the derivative, Taylor coefficients and a truncated
 series for the series route. ``TruncatedSeries`` implements it for
 polynomials: differentiation and integration are exact on coefficients;
-products and compositions are truncated at a working degree and each
-truncating operation records an upper bound on the sup-norm (over the
-closed disk) of the discarded tail in ``tail_bound``. ``ClosedForm``
-implements it for the Mobius map and log(1/(1-z)) by their formulas, so
-they are evaluated as the functions they name, with no truncation.
+products and compositions are truncated at a working degree.
+``ClosedForm`` implements it for the Mobius map and log(1/(1-z)) by their
+formulas, so they are evaluated as the functions they name, with no
+truncation. Both evaluate scalars and arrays through one array path.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Protocol
 
@@ -31,7 +29,7 @@ class Analytic(Protocol):
     """What the package reads of an analytic function on the disk."""
 
     def __call__(self, z):
-        """Value at a scalar (complex) or at an ndarray of points."""
+        """Value at a scalar (a Python complex) or at an ndarray of points."""
 
     def derivative(self) -> "Analytic":
         """The derivative, in the same representation."""
@@ -45,8 +43,7 @@ class Analytic(Protocol):
 
 def _check_domain(z) -> None:
     """Points with |z| > 1 + EVAL_DOMAIN_TOL are a domain violation."""
-    big = abs(z) if isinstance(z, complex) else np.max(np.abs(z), initial=0.0)
-    if big > 1.0 + EVAL_DOMAIN_TOL:
+    if np.max(np.abs(z), initial=0.0) > 1.0 + EVAL_DOMAIN_TOL:
         raise ValueError("evaluation point outside the closed unit disk")
 
 
@@ -60,9 +57,9 @@ class TruncatedSeries:
     vectors compare canonically.
     """
 
-    __slots__ = ("_coeffs", "tail_bound", "_clist")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs, tail_bound: float = 0.0):
+    def __init__(self, coeffs):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
         if arr.size == 0:
             arr = np.zeros(1, dtype=complex)
@@ -72,8 +69,6 @@ class TruncatedSeries:
         arr = arr[: nz[-1] + 1].copy() if nz.size else np.zeros(1, dtype=complex)
         arr.flags.writeable = False
         self._coeffs = arr
-        self.tail_bound = float(tail_bound)
-        self._clist = None  # native-complex coefficients, built lazily
 
     # -- basic structure ---------------------------------------------------
 
@@ -119,18 +114,9 @@ class TruncatedSeries:
     def __call__(self, z):
         """Evaluate by Horner recurrence at points of the closed unit disk.
 
-        Accepts a scalar or an ndarray. Points with |z| > 1 + 1e-12 are a
-        domain violation and raise ValueError.
+        Accepts a scalar, returning a Python complex, or an ndarray. Points
+        with |z| > 1 + 1e-12 are a domain violation and raise ValueError.
         """
-        if isinstance(z, (int, float, complex)):
-            zc = complex(z)
-            _check_domain(zc)
-            if self._clist is None:
-                self._clist = [complex(c) for c in self._coeffs[::-1]]
-            acc = 0j
-            for c in self._clist:
-                acc = acc * zc + c
-            return acc
         zz = np.asarray(z)
         _check_domain(zz)
         # numpy polyval's arithmetic, bit for bit, in one output array:
@@ -148,16 +134,11 @@ class TruncatedSeries:
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative; degree drops by one, [c] -> [0]."""
-        if self.degree == 0:
-            return TruncatedSeries([0.0], tail_bound=self.tail_bound * (self.degree + 2))
-        der = _poly.polyder(self._coeffs)
-        # tail bound degrades by roughly one power of the cut degree; coarse
-        return TruncatedSeries(der, tail_bound=self.tail_bound * (self.degree + 2))
+        return TruncatedSeries(_poly.polyder(self._coeffs))
 
     def integrate(self) -> "TruncatedSeries":
         """Antiderivative vanishing at 0: coefficient k+1 = c_k / (k+1)."""
-        anti = _poly.polyint(self._coeffs, lbnd=0)
-        return TruncatedSeries(anti, tail_bound=self.tail_bound)
+        return TruncatedSeries(_poly.polyint(self._coeffs, lbnd=0))
 
     # -- algebra -----------------------------------------------------------
 
@@ -168,12 +149,12 @@ class TruncatedSeries:
         a = np.zeros(n, dtype=complex)
         a[: len(self)] = self._coeffs
         a[: len(other)] += other._coeffs
-        return TruncatedSeries(a, tail_bound=self.tail_bound + other.tail_bound)
+        return TruncatedSeries(a)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self._coeffs, tail_bound=self.tail_bound)
+        return TruncatedSeries(-self._coeffs)
 
     def __sub__(self, other) -> "TruncatedSeries":
         if np.isscalar(other):
@@ -184,7 +165,7 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self._coeffs * c, tail_bound=self.tail_bound * abs(c))
+        return TruncatedSeries(self._coeffs * c)
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -202,19 +183,9 @@ class TruncatedSeries:
         return self.scale(1.0 / c)
 
     def mul(self, other: "TruncatedSeries", n_work: int = N_WORK) -> "TruncatedSeries":
-        """Cauchy product truncated at n_work.
-
-        Exact when deg(a) + deg(b) <= n_work; otherwise the sup-norm mass
-        of the dropped coefficients (plus the propagated input tails) is
-        recorded in ``tail_bound``.
-        """
-        full = np.convolve(self._coeffs, other._coeffs)
-        dropped = float(np.sum(np.abs(full[n_work + 1:])))
-        tail = (dropped
-                + self.l1() * other.tail_bound
-                + other.l1() * self.tail_bound
-                + self.tail_bound * other.tail_bound)
-        return TruncatedSeries(full[: n_work + 1], tail_bound=tail)
+        """Cauchy product truncated at n_work; exact when
+        deg(a) + deg(b) <= n_work."""
+        return TruncatedSeries(np.convolve(self._coeffs, other._coeffs)[: n_work + 1])
 
     def pow(self, n: int, n_work: int = N_WORK) -> "TruncatedSeries":
         """Integer power by repeated squaring, truncated at n_work."""
@@ -232,14 +203,10 @@ class TruncatedSeries:
         return result
 
     def compose(self, inner: "TruncatedSeries", n_work: int = N_WORK) -> "TruncatedSeries":
-        """Horner-style composition sum c_k * inner**k truncated at n_work.
-
-        The tail bound accumulated through the truncated products is a
-        geometric estimate driven by the l1 norm of ``inner``; it is exact
-        (zero) whenever deg(self) * deg(inner) <= n_work.
-        """
+        """Horner-style composition sum c_k * inner**k truncated at n_work;
+        exact when deg(self) * deg(inner) <= n_work."""
         c = self._coeffs
-        result = TruncatedSeries([c[-1]], tail_bound=self.tail_bound)
+        result = TruncatedSeries([c[-1]])
         for k in range(len(c) - 2, -1, -1):
             result = result.mul(inner, n_work) + c[k]
         return result
@@ -303,16 +270,8 @@ class ClosedForm:
         return f"ClosedForm({self.kind!r}, a={self.a!r}, order={self.order})"
 
     def __call__(self, z):
-        """Value at points of the closed unit disk (ValueError outside)."""
-        if isinstance(z, (int, float, complex)):
-            z = complex(z)
-            _check_domain(z)
-            d = 1.0 - self._b * z
-            if self.order:
-                return self._c * (1.0 / d) ** self._p
-            if self.kind == "log":
-                return -cmath.log(d)
-            return (self.a - z) / d
+        """Value at points of the closed unit disk (ValueError outside): a
+        Python complex at a scalar, an array at an ndarray."""
         zz = np.asarray(z)
         _check_domain(zz)
         out = np.multiply(zz, -self._b, out=np.empty(zz.shape, dtype=complex))

@@ -2,7 +2,8 @@
 
 The supremum of a smooth boundary-vanishing quantity over the disk is
 estimated on a radial/angular grid whose radii follow a geometric ladder
-accumulating at the boundary, then polished by golden-section refinement
+accumulating at the boundary, then polished by a zoom: small (r, theta)
+patches, each evaluated in one call, recentred on their max and shrunk
 around the coarse argmax. Monomial norms additionally have a closed form
 (standard weights) or a dedicated capless 1-D search (logarithmic weight).
 """
@@ -23,6 +24,12 @@ INEQUALITY_RTOL = 1e-9
 
 #: divergence evidence: >= this growth across the last two ladder shells
 SHELL_GROWTH_RATIO = 1.25
+
+#: samples per axis of a zoom patch (odd, so the patch holds its centre)
+ZOOM_PATCH = 9
+
+#: the zoom stops once a patch's spacing in r and theta is below this
+ZOOM_STOP = 1e-9
 
 
 class NonFiniteValueError(ValueError):
@@ -108,18 +115,18 @@ class DiskGrid:
     Radii combine ``radii_count`` uniformly spaced inner radii on [0, 1/2)
     with a ladder 1 - 2**(-k/steps_per_octave) accumulating at
     r_max = 1 - 2**-j_max. The octave points 1 - 2**-j are always included.
-    Angles are equispaced. ``refine_depth`` golden-section passes (radius
-    along the argmax ray, then angle at the refined radius) polish every
-    supremum taken over the grid. A grid is not changed after construction:
+    Angles are equispaced. Every supremum taken over the grid is polished
+    by ``grid_supremum``'s zoom. A grid is not changed after construction:
     symbols keep their results per grid object.
     """
 
+    #: the parameters a config may set; the others keep their defaults
+    CONFIG_KEYS = ("radii_count", "angles", "j_max", "steps_per_octave")
+
     def __init__(self, radii_count: int = 20, angles: int = 512, j_max: int = 40,
-                 steps_per_octave: int = 4, refine_depth: int = 2):
+                 steps_per_octave: int = 4):
         if angles < 64:
             raise ValueError("angles must be >= 64")
-        if refine_depth < 0:
-            raise ValueError("refine_depth must be >= 0")
         if j_max < 1 or steps_per_octave < 1 or radii_count < 1:
             raise ValueError("radii_count, j_max, steps_per_octave must be >= 1")
         inner = np.linspace(0.0, 0.5, radii_count, endpoint=False)
@@ -129,7 +136,6 @@ class DiskGrid:
         self.n_angles = int(angles)
         self.j_max = int(j_max)
         self.steps_per_octave = int(steps_per_octave)
-        self.refine_depth = int(refine_depth)
         self.angles = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
         self.points = self.radii[:, None] * np.exp(1j * self.angles)[None, :]
         self.abs_points = np.broadcast_to(self.radii[:, None],
@@ -144,15 +150,15 @@ class DiskGrid:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DiskGrid":
-        return cls(radii_count=int(cfg.get("radii_count", 20)),
-                   angles=int(cfg.get("angles", 512)),
-                   j_max=int(cfg.get("j_max", 40)),
-                   steps_per_octave=int(cfg.get("steps_per_octave", 4)),
-                   refine_depth=int(cfg.get("refine_depth", 2)))
+        """A grid from a config dict; an unknown key raises ValueError."""
+        unknown = sorted(set(cfg) - set(cls.CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown grid keys: {', '.join(unknown)}")
+        return cls(**{key: int(cfg[key]) for key in cls.CONFIG_KEYS if key in cfg})
 
     def __repr__(self) -> str:
         return (f"DiskGrid(radii={len(self.radii)}, angles={self.n_angles}, "
-                f"j_max={self.j_max}, refine_depth={self.refine_depth})")
+                f"j_max={self.j_max})")
 
 
 _default_grid: DiskGrid | None = None
@@ -189,13 +195,18 @@ def _shell_divergence(shell_max: np.ndarray, argmax_shell: int) -> bool:
     return a > 0 and c >= SHELL_GROWTH_RATIO * a
 
 
-def grid_supremum(magnitude, grid: DiskGrid, grid_values: np.ndarray | None = None,
-                  refine: bool | None = None) -> SupEstimate:
-    """Max of a nonnegative function over the grid, then local refinement.
+def grid_supremum(magnitude, grid: DiskGrid,
+                  grid_values: np.ndarray | None = None) -> SupEstimate:
+    """Max of a nonnegative function over the grid, then a zoom around it.
 
-    ``magnitude`` maps complex arrays/scalars to nonnegative reals. A
-    precomputed value table for ``grid.points`` can be passed to skip the
-    coarse evaluation. Non-finite values raise NonFiniteValueError.
+    ``magnitude`` maps complex arrays to nonnegative reals. A precomputed
+    value table for ``grid.points`` can be passed to skip the coarse
+    evaluation. The zoom evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta)
+    patches in one call each: the first spans the grid samples next to the
+    argmax, each next one the samples next to the last patch's max, with r
+    clipped to [0, r_max], until the spacing is below ZOOM_STOP. The
+    estimate is the largest value seen, so never below the grid max.
+    Non-finite values raise NonFiniteValueError.
     """
     vals = magnitude(grid.points) if grid_values is None else grid_values
     if not np.all(np.isfinite(vals)):
@@ -205,31 +216,30 @@ def grid_supremum(magnitude, grid: DiskGrid, grid_values: np.ndarray | None = No
     best_val = float(vals[i, j])
     diverging = _shell_divergence(shell_max, int(i))
 
-    do_refine = grid.refine_depth > 0 if refine is None else refine
-    r_star = float(grid.radii[i])
-    th_star = float(grid.angles[j])
-    if do_refine:
-        n_r, n_th = len(grid.radii), grid.n_angles
-        r_lo = float(grid.radii[max(i - 1, 0)])
-        r_hi = float(grid.radii[min(i + 1, n_r - 1)])
-        dth = 2.0 * np.pi / n_th
-        th_lo, th_hi = th_star - dth, th_star + dth
-        for _ in range(max(grid.refine_depth, 1)):
-            r_new, v1 = golden_max(
-                lambda r: float(magnitude(r * np.exp(1j * th_star))), r_lo, r_hi)
-            if v1 > best_val:
-                best_val, r_star = v1, r_new
-            th_new, v2 = golden_max(
-                lambda th: float(magnitude(r_star * np.exp(1j * th))), th_lo, th_hi)
-            if v2 > best_val:
-                best_val, th_star = v2, th_new
-            w_r, w_th = (r_hi - r_lo) / 4.0, (th_hi - th_lo) / 4.0
-            r_lo, r_hi = max(r_star - w_r, 0.0), min(r_star + w_r, grid.r_max)
-            th_lo, th_hi = th_star - w_th, th_star + w_th
+    r_best, th_best = float(grid.radii[i]), float(grid.angles[j])
+    half = (ZOOM_PATCH - 1) // 2
+    steps = np.arange(-half, half + 1)
+    r_lo = grid.radii[max(i - 1, 0)]
+    r_hi = grid.radii[min(i + 1, len(grid.radii) - 1)]
+    r_mid, dr = (r_lo + r_hi) / 2.0, (r_hi - r_lo) / (2 * half)
+    th_mid, dt = th_best, 2.0 * np.pi / grid.n_angles / half
+    while True:
+        rs = np.clip(r_mid + dr * steps, 0.0, grid.r_max)
+        ths = th_mid + dt * steps
+        patch = magnitude(rs[:, None] * np.exp(1j * ths)[None, :])
+        if not np.all(np.isfinite(patch)):
+            raise NonFiniteValueError("non-finite value in supremum zoom")
+        a, b = np.unravel_index(int(np.argmax(patch)), patch.shape)
+        if patch[a, b] > best_val:
+            best_val, r_best, th_best = float(patch[a, b]), float(rs[a]), float(ths[b])
+        if max(dr, dt) < ZOOM_STOP:
+            break
+        r_mid, th_mid = rs[a], ths[b]
+        dr, dt = dr / half, dt / half
     return SupEstimate(value=best_val,
-                       argmax=r_star * complex(math.cos(th_star), math.sin(th_star)),
+                       argmax=r_best * complex(math.cos(th_best), math.sin(th_best)),
                        r_max_used=grid.r_max,
-                       refined=do_refine,
+                       refined=True,
                        diverging=diverging,
                        shell_max=shell_max)
 

@@ -150,8 +150,9 @@ def test_sweep_validation(tmp_path):
     {"phis": [{"family": "mobius", "params": {"a": 1.5}}]},
     {"nseq": "abc"},
     {"alphas": ["x"]},
+    {"grid": {"angels": 64}},
 ], ids=["grid-angles", "unknown-phi", "missing-phi-family", "mobius-outside-disk",
-        "nseq-not-a-number", "alpha-not-a-number"])
+        "nseq-not-a-number", "alpha-not-a-number", "unknown-grid-key"])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

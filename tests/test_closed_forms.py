@@ -60,10 +60,9 @@ def test_closed_forms_match_50_digit_oracles(kind, a, order):
 @pytest.mark.parametrize("kind,a", [("log", 0.0), ("mobius", 0.5), ("mobius", 0.9),
                                     ("mobius", -0.6j)])
 def test_scalar_and_array_paths_agree_to_4_ulp(kind, a, rng):
-    # a on an axis: conj(a) z is then rounded alike by Python and by numpy;
-    # off the axes numpy's vectorised complex product may fuse a multiply
-    # and an add where Python rounds twice, and the oracle test above holds
-    # each path to the function instead
+    # a scalar is a 0-d array, which numpy computes through other loops than
+    # a long array (np.power's among them), so the two may round apart by an
+    # ulp; the oracle test above holds each path to the function itself
     n = 4000
     r = 1.0 - np.concatenate([rng.uniform(0.0, 1.0, n // 2),
                               2.0 ** -rng.uniform(0.0, 40.0, n // 2)])

@@ -48,8 +48,8 @@ def test_grid_structure(grid):
 def test_grid_validation():
     with pytest.raises(ValueError):
         DiskGrid(angles=32)
-    with pytest.raises(ValueError):
-        DiskGrid(refine_depth=-1)
+    with pytest.raises(ValueError, match="refine_depth"):
+        DiskGrid.from_config({"refine_depth": 2})
     g = DiskGrid.from_config({"radii_count": 8, "angles": 64, "j_max": 12})
     assert g.n_angles == 64
     assert g.r_max == pytest.approx(1 - 2.0 ** -12)
