@@ -29,7 +29,7 @@ class Analytic(Protocol):
     """What the package reads of an analytic function on the disk."""
 
     def __call__(self, z):
-        """Value at a scalar (a Python complex) or at an ndarray of points."""
+        """Values at an ndarray of points; a Python complex at a scalar."""
 
     def derivative(self) -> "Analytic":
         """The derivative, in the same representation."""
