@@ -164,8 +164,8 @@ def load_json_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
-def grid_from_args(args, cfg: dict | None = None) -> DiskGrid:
-    grid_cfg = dict((cfg or {}).get("grid", {}))
+def grid_from_args(args) -> DiskGrid:
+    grid_cfg = {}
     if args.grid_angles is not None:
         grid_cfg["angles"] = args.grid_angles
     if args.jmax is not None:
@@ -189,8 +189,12 @@ def check_operator_args(args) -> None:
 
 def symbol_from_file(args, grid: DiskGrid) -> SelfMapSymbol:
     cfg = load_json_config(args.config)
-    if "phi" not in cfg or "g" not in cfg:
+    if not isinstance(cfg, dict) or "phi" not in cfg or "g" not in cfg:
         raise ConfigError('symbol config must contain "phi" and "g" entries')
+    unknown = sorted(set(cfg) - {"phi", "g"})
+    if unknown:
+        raise ConfigError(f"unknown symbol config keys: {', '.join(unknown)} "
+                          '(a symbol file holds only "phi" and "g")')
     try:
         return symbol_from_config(cfg, grid=grid)
     except (KeyError, ValueError) as exc:

@@ -110,12 +110,6 @@ def apply_scale(s: np.ndarray, scale: tuple) -> np.ndarray:
     return out
 
 
-def u_values(u, values: SymbolValues):
-    """u at a provider's points: a symbol weight's formula, or a plain
-    function of z (whose results the grid context does not keep)."""
-    return u.formula(values) if isinstance(u, SymbolWeight) else u(values.z)
-
-
 def front_sequence(A: np.ndarray, p: np.ndarray, n_seq: int) -> np.ndarray:
     """s_n = max_i A_i p_i^n for n = 0..n_seq over a Pareto front (p
     descending, A ascending), from the upper envelope of the lines
@@ -157,11 +151,12 @@ def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
     """Read-only s_n = max over the grid of v(z)|u(z)||phi(z)|^n, n = 0..n_seq:
     ``front_sequence`` over the Pareto front of (|phi|, v|u|), in
     O(grid + front + n_seq log hull) once the context has sorted |phi|.
-    The radial weight v is taken per radius and broadcast along the rows."""
-    # u before any other grid-sized array: one allocated first made glibc
+    |u| is the context's table, the one ``expression`` reads; the radial
+    weight v is taken per radius and broadcast along the rows."""
+    # |u| before any other grid-sized array: one allocated first made glibc
     # re-fault the heap in each Horner step of u's series tables (2.7x slower)
-    uvals = u_values(u, ctx)
-    A = weight(ctx.radii)[:, None] * np.abs(uvals)
+    abs_u = ctx.abs_u(u)
+    A = weight(ctx.radii)[:, None] * abs_u
     s = front_sequence(*_pareto_front(A, ctx.abs_phi_desc, ctx.desc_order), n_seq)
     s.flags.writeable = False
     return s
@@ -193,15 +188,36 @@ def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
                         growing=growing)
 
 
-def expression(values: SymbolValues, u, beta: float, form: tuple):
-    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) from a value provider.
+def boundary_factor(abs_phi, form: tuple):
+    """F(|phi|): (1-|phi|^2)^-gamma for form ("power", gamma) or
+    log(2/(1-|phi|^2)) for form ("log",); an array comes back in a new
+    buffer, which the caller may overwrite."""
+    y = one_minus_sq(abs_phi)
+    if not isinstance(y, np.ndarray):  # a single point
+        return np.log(2.0 / y) if form[0] == "log" else y ** (-form[1])
+    if form[0] == "log":
+        np.divide(2.0, y, out=y)
+        return np.log(y, out=y)
+    y **= -form[1]
+    return y
 
-    F is (1-w^2)^-gamma for form ("power", gamma) or log(2/(1-w^2)) for
-    form ("log",).
+
+def expression(values: GridContext | SymbolValues, u, beta: float, form: tuple):
+    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) over a grid context or a value
+    provider (a zoom patch or a single point), with F ``boundary_factor``.
+
+    On a grid context the table is a product of per-context factors: the
+    radial weight once per radius, broadcast along the rows; |u| from the
+    context's table; F computed into the output buffer. The product is
+    taken as (weight |u|) F, as on a provider, so both give the same bits.
     """
-    uvals = u_values(u, values)  # first, as in raw_sequence
-    y = one_minus_sq(values.abs_phi)
-    factor = np.log(2.0 / y) if form[0] == "log" else y ** (-form[1])
+    if isinstance(values, GridContext):
+        abs_u = values.abs_u(u)  # first, as in raw_sequence
+        out = boundary_factor(values.abs_phi, form)
+        out *= (one_minus_sq(values.radii) ** beta)[:, None] * abs_u
+        return out
+    uvals = u.formula(values) if isinstance(u, SymbolWeight) else u(values.z)
+    factor = boundary_factor(values.abs_phi, form)
     return one_minus_sq(values.abs_z) ** beta * np.abs(uvals) * factor
 
 
@@ -232,25 +248,37 @@ def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
                     table: np.ndarray | None = None) -> tuple:
     """(eps, sups, nonempty) of ``expression`` over the rungs
     {z : |phi(z)| > 1 - eps}, eps = 2^-k for k in eps_range; an empty rung
-    has sup 0. Once per context the grid indices with |phi| > 1 - max eps
-    are sorted by |phi| descending and counted per rung; then each ladder
-    is one gather of ``table`` (built here when not given) and one running
-    max. For a symbol weight the context keeps the ladder per
-    (u, beta, form, eps_range)."""
+    has sup 0. The rungs are nested, so each is a union of shells, the
+    points between it and the next smaller rung. Once per context the grid
+    indices with |phi| > 1 - max eps are ordered by shell, outermost first
+    and ascending within a shell. Each ladder is then one gather of
+    ``table`` (built here when not given), one ``maximum.reduceat`` over
+    the non-empty shells and a running max over the shell maxima. For a
+    symbol weight the context keeps the ladder per (u, beta, form,
+    eps_range)."""
     def rungs():
         eps = tuple(2.0 ** (-k) for k in range(eps_range[0], eps_range[1] + 1))
-        outer = np.count_nonzero(ctx.abs_phi > 1.0 - max(eps, default=0.0))
-        idx = ctx.desc_order[:outer]
-        counts = np.searchsorted(-ctx.abs_phi_desc[:outer],
-                                 -(1.0 - np.array(eps)), side="left")
-        return eps, idx, counts.tolist()
+        # points per rung, non-increasing; reversed, the ends of the shells
+        counts = np.searchsorted(-ctx.abs_phi_desc, -(1.0 - np.array(eps)),
+                                 side="left")
+        ends = counts[::-1]
+        starts = np.concatenate(([0], ends))[:-1]
+        shells = [np.sort(ctx.desc_order[a:b]) for a, b in zip(starts, ends)]
+        idx = np.concatenate(shells) if shells else np.zeros(0, dtype=np.intp)
+        live = ends > starts
+        # rung i holds the len(eps) - i outermost shells
+        n_live = np.cumsum(live)[::-1].tolist()
+        return eps, idx, starts[live], n_live
 
     def ladder():
-        eps, idx, counts = ctx.cached(("rungs", eps_range), rungs)
+        eps, idx, shell_starts, n_live = ctx.cached(("rungs", eps_range), rungs)
         vals = expression(ctx, u, beta, form) if table is None else table
-        prefix_max = np.maximum.accumulate(vals.ravel()[idx])
-        return (eps, tuple(float(prefix_max[c - 1]) if c > 0 else 0.0 for c in counts),
-                tuple(c > 0 for c in counts))
+        sups = np.zeros(0)
+        if len(shell_starts):
+            sups = np.maximum.accumulate(np.maximum.reduceat(vals.ravel()[idx],
+                                                             shell_starts))
+        return (eps, tuple(float(sups[k - 1]) if k > 0 else 0.0 for k in n_live),
+                tuple(k > 0 for k in n_live))
     key = (("ladder", u.label, beta, form, eps_range)
            if isinstance(u, SymbolWeight) else None)
     return ctx.cached(key, ladder)

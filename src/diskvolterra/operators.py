@@ -57,8 +57,8 @@ _SYMBOL_ATTRS = {
 class SymbolValues:
     """Values of a symbol at fixed points z, each computed on first access:
     phi, phi1, phi2, g, g1, g2 (at z), g_phi, g1_phi, g2_phi (at phi(z)),
-    abs_phi = |phi(z)|, abs_z = |z|, desc_order (the argsort of -|phi|
-    over the flattened points) and abs_phi_desc (|phi| in that order)."""
+    abs_phi = |phi(z)| and abs_z = |z|. A provider is transient: nothing
+    keeps one over a whole grid."""
 
     def __init__(self, sym, z):
         self.z = z
@@ -69,10 +69,6 @@ class SymbolValues:
             val = np.abs(self.phi)
         elif key == "abs_z":
             val = np.abs(self.z)
-        elif key == "desc_order":
-            val = np.argsort(-self.abs_phi.ravel(), kind="stable")
-        elif key == "abs_phi_desc":
-            val = self.abs_phi.ravel()[self.desc_order]
         elif key in _SYMBOL_ATTRS:
             name, at_phi = _SYMBOL_ATTRS[key]
             val = getattr(self._sym, name)(self.phi if at_phi else self.z)
@@ -82,17 +78,58 @@ class SymbolValues:
         return val
 
 
-class GridContext(SymbolValues):
-    """Everything computed for one symbol on one grid, filled on first use:
-    the ``SymbolValues`` over ``grid.points`` (abs_z is the exact ladder
-    radius, broadcast from ``radii``) and, through ``cached``, raw sequence
-    scans and sup estimates."""
+class GridContext:
+    """Everything one symbol keeps for one grid, filled on first use. It
+    keeps float tables only: abs_phi = |phi|, desc_order (the argsort of
+    -|phi| over the flattened points), abs_phi_desc (|phi| in that order),
+    |u| per symbol weight (``abs_u``) and, through ``cached``, raw sequence
+    scans, sup estimates and boundary ladders. Complex symbol values come
+    from transient ``values()`` providers and are dropped once read."""
+
+    #: the |phi| tables, each kept once computed
+    KEPT = ("abs_phi", "desc_order", "abs_phi_desc")
 
     def __init__(self, sym, grid: DiskGrid):
-        super().__init__(sym, grid.points)
+        self.z = grid.points
         self.abs_z = grid.abs_points
         self.radii = grid.radii
+        self._sym = sym
+        self._abs_u: dict = {}
         self._results: dict = {}
+
+    def values(self) -> SymbolValues:
+        """A transient provider over the grid's points; abs_z is the exact
+        ladder radius, broadcast from ``radii``."""
+        values = SymbolValues(self._sym, self.z)
+        values.abs_z = self.abs_z
+        return values
+
+    def __getattr__(self, key):
+        if key == "abs_phi":
+            val = self.values().abs_phi
+        elif key == "desc_order":
+            val = np.argsort(-self.abs_phi.ravel(), kind="stable")
+        elif key == "abs_phi_desc":
+            val = self.abs_phi.ravel()[self.desc_order]
+        else:
+            raise AttributeError(key)
+        setattr(self, key, val)
+        return val
+
+    def abs_u(self, u) -> np.ndarray:
+        """|u| over the grid. A symbol weight's table is kept: both weights
+        of its kind are built together from one transient provider, which
+        also gives abs_phi when it has evaluated phi. A plain function of z
+        is evaluated on every call."""
+        if not isinstance(u, SymbolWeight):
+            return np.abs(u(self.z))
+        if u.label not in self._abs_u:
+            values = self.values()
+            for label, formula in WEIGHT_FORMULAS[u.kind]:
+                self._abs_u[label] = np.abs(formula(values))
+            if "abs_phi" not in vars(self) and "phi" in vars(values):
+                self.abs_phi = values.abs_phi
+        return self._abs_u[u.label]
 
     def cached(self, key, compute):
         """compute() on the first use of ``key``, kept; None keeps nothing."""
@@ -161,8 +198,11 @@ class SelfMapSymbol:
         return self._contexts[grid]
 
     def grid_values(self, grid: DiskGrid, key: str) -> np.ndarray:
-        """Table of a ``GridContext`` quantity, e.g. "g1_phi", over the grid."""
-        return getattr(self.context(grid), key)
+        """Table of a grid quantity: a ``GridContext`` table such as
+        "abs_phi", or a ``SymbolValues`` one such as "g1_phi", which a
+        transient provider computes."""
+        ctx = self.context(grid)
+        return getattr(ctx if key in GridContext.KEPT else ctx.values(), key)
 
 
 # -- series route ------------------------------------------------------------
@@ -287,25 +327,27 @@ WEIGHT_FORMULAS = {
 @dataclass(frozen=True)
 class SymbolWeight:
     """A symbol weight u bound to a symbol: its label, which names the
-    formula in reports and in the results a grid context keeps, and its
-    formula over a value provider. Callable at points; ``on_grid`` gives
-    the table over a grid's points."""
+    formula in reports and in the tables and results a grid context keeps,
+    its formula over a value provider and the operator kind whose pair it
+    belongs to. Callable at points; ``on_grid`` gives the table over a
+    grid's points."""
     label: str
     formula: Callable
     sym: SelfMapSymbol
+    kind: str
 
     def __call__(self, z):
         return self.formula(SymbolValues(self.sym, z))
 
     def on_grid(self, grid: DiskGrid) -> np.ndarray:
-        return self.formula(self.sym.context(grid))
+        return self.formula(self.sym.context(grid).values())
 
 
 def symbol_weights(kind: str, sym: SelfMapSymbol) -> dict[str, SymbolWeight]:
     """The two symbol weights (u1, u2) entering each operator's conditions."""
     if kind not in WEIGHT_FORMULAS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return {key: SymbolWeight(label, formula, sym)
+    return {key: SymbolWeight(label, formula, sym, kind)
             for key, (label, formula) in zip(("u1", "u2"), WEIGHT_FORMULAS[kind])}
 
 

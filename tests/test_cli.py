@@ -98,6 +98,24 @@ def test_operator_flag_errors_exit_2(tmp_path, capsys, command, flags):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["criterion", "essnorm", "norms"])
+@pytest.mark.parametrize("extra", [{"grid": {"angels": 64}}, {"grid": {"angles": 64}},
+                                   {"nseq": 64}],
+                         ids=["misspelt-grid-key", "grid-object", "other-key"])
+def test_symbol_file_with_other_keys_exits_2(tmp_path, capsys, command, extra):
+    # a symbol file holds only "phi" and "g"; a grid object in it used to be
+    # ignored without a word, even a malformed one
+    path = tmp_path / "symbols.json"
+    path.write_text(json.dumps({"phi": {"family": "scaled_identity", "params": {"c": 0.5}},
+                                "g": {"family": "identity"}, **extra}))
+    flags = ([] if command == "norms"
+             else ["--op", "vgcphi", "--alpha", "1", "--beta", "1", "--nseq", "64"])
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+               *SMALL_GRID, *flags])
+    assert rc == 2
+    assert "unknown symbol config keys" in capsys.readouterr().err
+
+
 def test_essnorm_cli(tmp_path):
     sym = write_symbols(tmp_path)
     rc = main(["essnorm", "--op", "cphiug", "--alpha", "2", "--beta", "1",

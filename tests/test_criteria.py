@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 
 import diskvolterra as dv
-from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight
-from diskvolterra.criteria import (_pareto_front, apply_scale, conditions_for, front_sequence,
-                                   pointwise_quantity, raw_sequence, sequence_quantity)
+from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, operators
+from diskvolterra.criteria import (_pareto_front, apply_scale, conditions_for, expression,
+                                   front_sequence, pointwise_quantity, raw_sequence,
+                                   sequence_quantity)
+from diskvolterra.operators import SymbolValues
+from diskvolterra.spaces import one_minus_sq
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
@@ -104,6 +108,106 @@ def test_raw_sequence_equals_the_full_table_construction(grid):
                 order = np.argsort(-p.ravel(), kind="stable")
                 want = front_sequence(*_pareto_front(A, p.ravel()[order], order), 64)
                 assert np.array_equal(raw_sequence(ctx, u, w, 64), want), (kind, u.label)
+
+
+SMALL_GRID = dict(radii_count=8, angles=64, j_max=12)
+
+TABLE_SYMBOLS = (
+    {"phi": {"family": "mobius", "params": {"a": 0.5}}, "g": {"family": "identity"}},
+    {"phi": {"family": "scaled_identity", "params": {"c": 1.0}},
+     "g": {"family": "log_cesaro"}},
+    {"phi": {"family": "poly", "params": {"coeffs": [0, 0.3, 0.6]}},
+     "g": {"family": "poly", "params": {"coeffs": [0, 1, 0.5]}}},
+)
+
+
+def direct_expression(values, u, beta, form):
+    """(1-|z|^2)^beta |u| F(|phi|) in one pass over a value provider, the
+    way every table was built before the context kept per-factor tables."""
+    uvals = u.formula(values)
+    y = one_minus_sq(values.abs_phi)
+    factor = np.log(2.0 / y) if form[0] == "log" else y ** (-form[1])
+    return one_minus_sq(values.abs_z) ** beta * np.abs(uvals) * factor
+
+
+def test_context_table_equals_the_direct_formula():
+    # the weight taken per radius, |u| kept per weight and F computed into
+    # the output give the very numbers of the one-pass formula
+    grid = dv.DiskGrid(**SMALL_GRID)
+    for spec in TABLE_SYMBOLS:
+        sym = dv.symbol_from_config(spec, grid=grid)
+        ctx = sym.context(grid)
+        for kind in dv.KINDS:
+            for u in dv.symbol_weights(kind, sym).values():
+                for beta in (0.5, 2.5):
+                    for form in (("power", 0.0), ("power", 1.5), ("log",)):
+                        values = SymbolValues(sym, grid.points)
+                        values.abs_z = grid.abs_points
+                        want = direct_expression(values, u, beta, form)
+                        got = expression(ctx, u, beta, form)
+                        assert np.array_equal(got, want), (spec, kind, u.label, beta, form)
+
+
+def grid_arrays(obj, seen=None):
+    """Every numpy array reachable from obj through attributes, dicts and
+    sequences."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from grid_arrays(key, seen)
+            yield from grid_arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from grid_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from grid_arrays(vars(obj), seen)
+
+
+def test_context_keeps_no_complex_symbol_table():
+    grid = dv.DiskGrid(**SMALL_GRID)
+    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], grid)
+    for kind in dv.KINDS:
+        for alpha in (0.5, 1.0, 2.5):
+            report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=64)
+            assert report.verdict == "bounded"
+            dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=64, boundedness=report)
+    ctx = sym.context(grid)
+    kept = [a for a in grid_arrays(ctx) if a.size >= grid.points.size]
+    assert len(kept) >= 8 + 3       # |u| of the eight weights, the |phi| tables
+    for a in kept:
+        if a is not grid.points:    # the grid's own points, read by plain functions
+            assert not np.iscomplexobj(a), (a.dtype, a.shape)
+
+
+def test_each_weight_is_evaluated_over_the_grid_once_per_context(monkeypatch):
+    grid = dv.DiskGrid(**SMALL_GRID)
+    calls = collections.Counter()
+
+    def counted(label, formula):
+        def formula_counted(values):
+            if np.shape(values.z) == grid.points.shape:
+                calls[label] += 1
+            return formula(values)
+        return formula_counted
+    for kind, pair in operators.WEIGHT_FORMULAS.items():
+        monkeypatch.setitem(operators.WEIGHT_FORMULAS, kind,
+                            tuple((label, counted(label, f)) for label, f in pair))
+
+    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], grid)
+    for kind in dv.KINDS:
+        for alpha in (0.5, 1.0, 2.0, 2.5):
+            for beta in (1.0, 2.0):
+                report = dv.check_boundedness(kind, sym, alpha, beta, grid, n_seq=64)
+                if report.verdict == "bounded":
+                    dv.essential_norm(kind, sym, alpha, beta, grid, n_seq=64,
+                                      boundedness=report)
+    labels = [label for pair in operators.WEIGHT_FORMULAS.values() for label, _ in pair]
+    assert calls == collections.Counter(labels)
 
 
 def loop_sequence(A, p, n_seq):

@@ -165,9 +165,13 @@ def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
         return expression(values, u, beta, form)
 
     monkeypatch.setattr(criteria, "expression", counted)
-    for kind, alpha in (("vgcphi", 1.0), ("cphivg", 2.5), ("cphiug", 0.5),
-                        ("ugcphi", 2.0)):
-        sym = sym_of([0, 0.9, 0.05], [0, 1, 0.5], grid)
+    # phi = 0.9 z reaches only the first rung, |phi| > 1 - 2^-3: the later
+    # rungs, and so the shells between them, are empty
+    for phi, kind, alpha in [(phi, kind, alpha) for phi in ([0, 0.9, 0.05], [0, 0.9])
+                             for kind, alpha in (("vgcphi", 1.0), ("cphivg", 2.5),
+                                                 ("cphiug", 0.5), ("ugcphi", 2.0))]:
+        del tables[:]
+        sym = sym_of(phi, [0, 1, 0.5], grid)
         report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=256)
         assert report.verdict == "bounded"
         seen = len(tables)
@@ -184,6 +188,8 @@ def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
             table = expression(ctx, weights[c.u_label], 1.0, form)
             sups, nonempty = prefix_max_ladder(table, ctx.abs_phi)
             assert c.boundary.sups == sups and c.boundary.nonempty == nonempty, kind
+            if phi == [0, 0.9]:
+                assert nonempty == [True] + [False] * (len(nonempty) - 1), kind
 
 
 def test_essential_norm_zero_cases(grid):
