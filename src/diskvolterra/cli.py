@@ -436,6 +436,9 @@ def run_essnorm(kind, sym, alpha, beta, grid, n_seq, out_dir: Path):
 
 
 def _validate_sweep_config(cfg: dict) -> dict:
+    unknown = sorted(set(cfg) - set(DEFAULT_SWEEP_CONFIG))
+    if unknown:
+        raise ConfigError(f"unknown sweep config keys: {', '.join(unknown)}")
     merged = dict(DEFAULT_SWEEP_CONFIG)
     merged.update(cfg)
     for key in ("kinds", "phis", "gs", "alphas", "betas"):

@@ -7,7 +7,8 @@ sup_z v(z) |u(z)| |phi(z)|^n, and the sup over the disk of the matching
 pointwise expression. Both are computed for every condition; the verdict
 is "bounded" when all required quantities are finite under the caps, and
 "not-determined" when divergence evidence appears (numerics never certify
-unboundedness). Scans and sups are computed once per (symbol, grid).
+unboundedness). Each u is a ``SymbolWeight``, whose scans and sups are
+computed once per (symbol, grid).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (KINDS, V_KINDS, GridContext, SelfMapSymbol, SymbolValues,
-                        SymbolWeight, symbol_weights)
+                        symbol_weights)
 from .spaces import (DiskGrid, SupEstimate, Weight, default_grid, grid_supremum,
                      one_minus_sq)
 
@@ -35,6 +36,17 @@ def scale_label(scale: tuple) -> str:
     if scale[0] == "log":
         return "log(n)"
     return f"(n+1)^{scale[1]:g}"
+
+
+def scan_window(n_seq: int) -> int:
+    """Trailing indices of an n_seq scan that its growth test and its tail
+    limsup read: the final quarter, at least 8, at most n_seq."""
+    return min(max(n_seq // 4, 8), n_seq)
+
+
+def boundary_form(scale: tuple) -> tuple:
+    """The form of F(|phi|) that matches a sequence scaling."""
+    return ("log",) if scale[0] == "log" else ("power", scale[1])
 
 
 def form_label(form: tuple) -> str:
@@ -156,7 +168,7 @@ def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
     # |u| before any other grid-sized array: one allocated first made glibc
     # re-fault the heap in each Horner step of u's series tables (2.7x slower)
     abs_u = ctx.abs_u(u)
-    A = weight(ctx.radii)[:, None] * abs_u
+    A = weight(ctx.radius) * abs_u
     s = front_sequence(*_pareto_front(A, ctx.abs_phi_desc, ctx.desc_order), n_seq)
     s.flags.writeable = False
     return s
@@ -165,19 +177,18 @@ def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
 def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
                       n_seq: int, grid: DiskGrid | None = None) -> SequenceScan:
     """Scan n = 0..n_seq of the scaled sequence quantity. The raw values
-    do not depend on the scale: for a symbol weight the grid context keeps
-    them per (u, weight, n_seq)."""
+    do not depend on the scale: the grid context keeps them per
+    (u, weight, n_seq). Growth is tested across the ``scan_window``."""
     if n_seq < 1:
         raise ValueError("n_seq must be >= 1")
     ctx = sym.context(grid or default_grid())
-    key = (("scan", u.label, weight.kind, weight.alpha, n_seq)
-           if isinstance(u, SymbolWeight) else None)
-    s = ctx.cached(key, lambda: raw_sequence(ctx, u, weight, n_seq))
+    s = ctx.cached(("scan", u.label, weight.kind, weight.alpha, n_seq),
+                   lambda: raw_sequence(ctx, u, weight, n_seq))
     scaled = apply_scale(s, scale)
     n_at_sup = int(np.argmax(scaled))
     sup = float(scaled[n_at_sup])
 
-    window = min(max(n_seq // 4, 8), n_seq)
+    window = scan_window(n_seq)
     chunk = max(window // 8, 4)
     head = scaled[n_seq - window: n_seq - window + chunk]
     tail = scaled[n_seq + 1 - chunk: n_seq + 1]
@@ -203,61 +214,49 @@ def boundary_factor(abs_phi, form: tuple):
 
 
 def expression(values: GridContext | SymbolValues, u, beta: float, form: tuple):
-    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) over a grid context or a value
-    provider (a zoom patch or a single point), with F ``boundary_factor``.
-
-    On a grid context the table is a product of per-context factors: the
-    radial weight once per radius, broadcast along the rows; |u| from the
-    context's table; F computed into the output buffer. The product is
-    taken as (weight |u|) F, as on a provider, so both give the same bits.
-    """
-    if isinstance(values, GridContext):
-        abs_u = values.abs_u(u)  # first, as in raw_sequence
-        out = boundary_factor(values.abs_phi, form)
-        out *= (one_minus_sq(values.radii) ** beta)[:, None] * abs_u
-        return out
-    uvals = u.formula(values) if isinstance(u, SymbolWeight) else u(values.z)
-    factor = boundary_factor(values.abs_phi, form)
-    return one_minus_sq(values.abs_z) ** beta * np.abs(uvals) * factor
+    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) with F ``boundary_factor``, over a
+    grid context (its memo's tables, the radius per row) or a value provider
+    (a zoom patch or a single point). F is computed into the output buffer
+    and multiplied by (weight |u|), so both give the same bits."""
+    abs_u = values.abs_u(u)  # first, as in raw_sequence
+    out = boundary_factor(values.abs_phi, form)
+    out *= one_minus_sq(values.radius) ** beta * abs_u
+    return out
 
 
 def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
                        grid: DiskGrid | None = None) -> SupEstimate:
     """sup over the disk of ``expression``: the coarse pass reads the grid
     context's tables, the zoom evaluates the same formula on small patches,
-    and for a symbol weight the context keeps the estimate and,
-    from the same table, the ``boundary_ladder``. It carries divergence
-    evidence when the sup sits on the outermost shells and still grows
-    there."""
+    and the context keeps the estimate and, from the same table, the
+    ``boundary_ladder``. It carries divergence evidence when the sup sits
+    on the outermost shells and still grows there."""
     grid = grid or default_grid()
     ctx = sym.context(grid)
-    kept = isinstance(u, SymbolWeight)
 
     def estimate():
         table = expression(ctx, u, beta, form)
         est = grid_supremum(lambda z: expression(SymbolValues(sym, z), u, beta, form),
                             grid, grid_values=table)
-        if kept:
-            boundary_ladder(ctx, u, beta, form, table=table)
+        boundary_ladder(ctx, u, beta, form, table=table)
         return est
-    return ctx.cached(("sup", u.label, beta, form) if kept else None, estimate)
+    return ctx.cached(("sup", u.label, beta, form), estimate)
 
 
 def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
-                    eps_range: tuple = EPS_LADDER_RANGE,
                     table: np.ndarray | None = None) -> tuple:
     """(eps, sups, nonempty) of ``expression`` over the rungs
-    {z : |phi(z)| > 1 - eps}, eps = 2^-k for k in eps_range; an empty rung
-    has sup 0. The rungs are nested, so each is a union of shells, the
-    points between it and the next smaller rung. Once per context the grid
-    indices with |phi| > 1 - max eps are ordered by shell, outermost first
-    and ascending within a shell. Each ladder is then one gather of
-    ``table`` (built here when not given), one ``maximum.reduceat`` over
-    the non-empty shells and a running max over the shell maxima. For a
-    symbol weight the context keeps the ladder per (u, beta, form,
-    eps_range)."""
+    {z : |phi(z)| > 1 - eps}, eps = 2^-k for k in EPS_LADDER_RANGE; an
+    empty rung has sup 0. The rungs are nested, so each is a union of
+    shells, the points between it and the next smaller rung. Once per
+    context the grid indices with |phi| > 1 - max eps are ordered by shell,
+    outermost first and ascending within a shell. Each ladder is then one
+    gather of ``table`` (built here when not given), one
+    ``maximum.reduceat`` over the non-empty shells and a running max over
+    the shell maxima. The context keeps the ladder per (u, beta, form)."""
     def rungs():
-        eps = tuple(2.0 ** (-k) for k in range(eps_range[0], eps_range[1] + 1))
+        lo, hi = EPS_LADDER_RANGE
+        eps = tuple(2.0 ** (-k) for k in range(lo, hi + 1))
         # points per rung, non-increasing; reversed, the ends of the shells
         counts = np.searchsorted(-ctx.abs_phi_desc, -(1.0 - np.array(eps)),
                                  side="left")
@@ -271,7 +270,7 @@ def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
         return eps, idx, starts[live], n_live
 
     def ladder():
-        eps, idx, shell_starts, n_live = ctx.cached(("rungs", eps_range), rungs)
+        eps, idx, shell_starts, n_live = ctx.cached("rungs", rungs)
         vals = expression(ctx, u, beta, form) if table is None else table
         sups = np.zeros(0)
         if len(shell_starts):
@@ -279,9 +278,7 @@ def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
                                                              shell_starts))
         return (eps, tuple(float(sups[k - 1]) if k > 0 else 0.0 for k in n_live),
                 tuple(k > 0 for k in n_live))
-    key = (("ladder", u.label, beta, form, eps_range)
-           if isinstance(u, SymbolWeight) else None)
-    return ctx.cached(key, ladder)
+    return ctx.cached(("ladder", u.label, beta, form), ladder)
 
 
 @dataclass
@@ -355,7 +352,7 @@ def check_boundedness(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     quantities = []
     for key, scale in cond_specs:
         u = weights[key]
-        form = ("log",) if scale[0] == "log" else ("power", scale[1])
+        form = boundary_form(scale)
         scan = sequence_quantity(u, sym, v_beta, scale, n_seq, grid)
         est = pointwise_quantity(u, sym, beta, form, grid)
         ratio = scan.sup / est.value if est.value > 0.0 else None

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import (EPS_LADDER_RANGE, CriterionReport, boundary_ladder,
-                       check_boundedness, conditions_for, form_label, scale_label,
+from .criteria import (CriterionReport, boundary_form, boundary_ladder, check_boundedness,
+                       conditions_for, form_label, scale_label, scan_window,
                        sequence_quantity)
 from .operators import CPHIUG, UGCPHI, SelfMapSymbol, symbol_weights
 from .spaces import DiskGrid, Weight, default_grid
@@ -51,48 +51,44 @@ class BoundaryScan:
 
 
 def sequence_limsup(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
-                    n_seq: int, window: int | None = None,
-                    grid: DiskGrid | None = None):
+                    n_seq: int, grid: DiskGrid | None = None):
     """Tail estimate of the scaled sequence quantity.
 
     Returns (estimate, trend_slope, extrapolated, scan): the estimate is the
-    max over the last ``window`` indices (default: final quarter), the trend
-    is the least-squares slope over that window, and for log scalings an
-    a + b/log(n) fit is additionally reported because that convergence is
-    O(1/log n) rather than O(1/n).
+    max over the last ``criteria.scan_window(n_seq)`` + 1 indices, the trend
+    is the least-squares slope over them, and for log scalings an
+    a + b/log(n) fit over those n >= 2 (None if fewer than two) is
+    additionally reported because that convergence is O(1/log n).
     """
-    if window is None:
-        window = max(n_seq // 4, 8)
-    if window >= n_seq:
-        raise ValueError("window must be smaller than n_seq")
     scan = sequence_quantity(u, sym, weight, scale, n_seq, grid)
-    ns = np.arange(n_seq - window, n_seq + 1)
+    ns = np.arange(n_seq - scan_window(n_seq), n_seq + 1)
     vals = scan.scaled[ns]
     estimate = float(np.max(vals))
     trend = float(np.polyfit(ns.astype(float), vals, 1)[0])
     extrapolated = None
-    if scale[0] == "log":
-        x = 1.0 / np.log(ns.astype(float))
-        coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T, vals,
+    fit = ns >= 2
+    if scale[0] == "log" and np.count_nonzero(fit) >= 2:
+        x = 1.0 / np.log(ns[fit].astype(float))
+        coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T, vals[fit],
                                    rcond=None)
         extrapolated = float(coef[0])
     return estimate, trend, extrapolated, scan
 
 
 def boundary_limsup(u, sym: SelfMapSymbol, beta: float, form: tuple,
-                    grid: DiskGrid | None = None,
-                    eps_range: tuple = EPS_LADDER_RANGE) -> BoundaryScan:
-    """Sups of the pointwise expression over {z : |phi(z)| > 1 - eps}.
+                    grid: DiskGrid | None = None) -> BoundaryScan:
+    """Sups of the pointwise expression over {z : |phi(z)| > 1 - eps}, for
+    eps = 2^-k with k in ``criteria.EPS_LADDER_RANGE``.
 
-    The sups are ``criteria.boundary_ladder``: for a symbol weight whose
-    sup ``pointwise_quantity`` has taken, the grid context already keeps
-    them; otherwise the expression table is built once here (no refined
-    sup is taken). Empty rungs (the compact case ||phi|| < 1) contribute 0.
-    The estimate is the max over the last three nonempty rungs, annotated
-    with their trend.
+    The sups are ``criteria.boundary_ladder``: for a weight whose sup
+    ``pointwise_quantity`` has taken, the grid context already keeps them;
+    otherwise the expression table is built once here (no refined sup is
+    taken). Empty rungs (the compact case ||phi|| < 1) contribute 0. The
+    estimate is the max over the last three nonempty rungs, annotated with
+    their trend.
     """
     ctx = sym.context(grid or default_grid())
-    eps, sups, nonempty = map(list, boundary_ladder(ctx, u, beta, form, eps_range))
+    eps, sups, nonempty = map(list, boundary_ladder(ctx, u, beta, form))
 
     live = [s for s, ne in zip(sups, nonempty) if ne]
     if not live:
@@ -134,7 +130,7 @@ class EssNormEstimate:
 
 def essential_norm(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
                    grid: DiskGrid | None = None, n_seq: int = 4096,
-                   window: int | None = None, compact_tol: float = COMPACT_TOL,
+                   compact_tol: float = COMPACT_TOL,
                    boundedness: CriterionReport | None = None) -> EssNormEstimate:
     """Estimate the essential norm of a bounded product operator.
 
@@ -163,9 +159,8 @@ def essential_norm(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     conditions = []
     for key, scale, diagnostic in specs:
         u = weights[key]
-        est, trend, extrap, scan = sequence_limsup(u, sym, v_beta, scale,
-                                                   n_seq, window, grid)
-        form = ("log",) if scale[0] == "log" else ("power", scale[1])
+        est, trend, extrap, scan = sequence_limsup(u, sym, v_beta, scale, n_seq, grid)
+        form = boundary_form(scale)
         bscan = boundary_limsup(u, sym, beta, form, grid)
         conditions.append(ConditionEstimate(
             label=f"limsup {scale_label(scale)} ||({u.label}) phi^n||  ~  "

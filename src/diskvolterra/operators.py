@@ -57,8 +57,9 @@ _SYMBOL_ATTRS = {
 class SymbolValues:
     """Values of a symbol at fixed points z, each computed on first access:
     phi, phi1, phi2, g, g1, g2 (at z), g_phi, g1_phi, g2_phi (at phi(z)),
-    abs_phi = |phi(z)| and abs_z = |z|. A provider is transient: nothing
-    keeps one over a whole grid."""
+    abs_phi = |phi(z)|, radius = |z| and, like a ``GridContext``, |u| of a
+    symbol weight (``abs_u``). A provider is transient: nothing keeps one
+    over a whole grid."""
 
     def __init__(self, sym, z):
         self.z = z
@@ -67,7 +68,7 @@ class SymbolValues:
     def __getattr__(self, key):
         if key == "abs_phi":
             val = np.abs(self.phi)
-        elif key == "abs_z":
+        elif key == "radius":
             val = np.abs(self.z)
         elif key in _SYMBOL_ATTRS:
             name, at_phi = _SYMBOL_ATTRS[key]
@@ -77,67 +78,60 @@ class SymbolValues:
         setattr(self, key, val)
         return val
 
+    def abs_u(self, u: SymbolWeight):
+        """|u| at the points."""
+        return np.abs(u.formula(self))
+
 
 class GridContext:
-    """Everything one symbol keeps for one grid, filled on first use. It
-    keeps float tables only: abs_phi = |phi|, desc_order (the argsort of
-    -|phi| over the flattened points), abs_phi_desc (|phi| in that order),
-    |u| per symbol weight (``abs_u``) and, through ``cached``, raw sequence
-    scans, sup estimates and boundary ladders. Complex symbol values come
-    from transient ``values()`` providers and are dropped once read."""
-
-    #: the |phi| tables, each kept once computed
-    KEPT = ("abs_phi", "desc_order", "abs_phi_desc")
+    """Everything one symbol keeps for one grid, in one memo filled through
+    ``cached``: abs_phi = |phi|, desc_order (the argsort of -|phi| over the
+    flattened points), abs_phi_desc (|phi| in that order), |u| per operator
+    kind (``abs_u``) and the scans, sups, rungs and ladders of ``criteria``.
+    It keeps float tables only: complex symbol values come from transient
+    ``values()`` providers. ``radius`` is the grid's radii as a column."""
 
     def __init__(self, sym, grid: DiskGrid):
         self.z = grid.points
-        self.abs_z = grid.abs_points
-        self.radii = grid.radii
+        self.radius = grid.radii[:, None]
         self._sym = sym
-        self._abs_u: dict = {}
-        self._results: dict = {}
+        self._memo: dict = {}
 
     def values(self) -> SymbolValues:
-        """A transient provider over the grid's points; abs_z is the exact
-        ladder radius, broadcast from ``radii``."""
-        values = SymbolValues(self._sym, self.z)
-        values.abs_z = self.abs_z
-        return values
-
-    def __getattr__(self, key):
-        if key == "abs_phi":
-            val = self.values().abs_phi
-        elif key == "desc_order":
-            val = np.argsort(-self.abs_phi.ravel(), kind="stable")
-        elif key == "abs_phi_desc":
-            val = self.abs_phi.ravel()[self.desc_order]
-        else:
-            raise AttributeError(key)
-        setattr(self, key, val)
-        return val
-
-    def abs_u(self, u) -> np.ndarray:
-        """|u| over the grid. A symbol weight's table is kept: both weights
-        of its kind are built together from one transient provider, which
-        also gives abs_phi when it has evaluated phi. A plain function of z
-        is evaluated on every call."""
-        if not isinstance(u, SymbolWeight):
-            return np.abs(u(self.z))
-        if u.label not in self._abs_u:
-            values = self.values()
-            for label, formula in WEIGHT_FORMULAS[u.kind]:
-                self._abs_u[label] = np.abs(formula(values))
-            if "abs_phi" not in vars(self) and "phi" in vars(values):
-                self.abs_phi = values.abs_phi
-        return self._abs_u[u.label]
+        """A transient provider over the grid's points."""
+        return SymbolValues(self._sym, self.z)
 
     def cached(self, key, compute):
-        """compute() on the first use of ``key``, kept; None keeps nothing."""
-        if key is None:
-            return compute()
-        if key not in self._results:
-            self._results[key] = compute()
-        return self._results[key]
+        """compute() on the first use of ``key``, then kept in the memo."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
+    def abs_phi(self) -> np.ndarray:
+        return self.cached("abs_phi", lambda: self.values().abs_phi)
+
+    @property
+    def desc_order(self) -> np.ndarray:
+        return self.cached("desc_order",
+                           lambda: np.argsort(-self.abs_phi.ravel(), kind="stable"))
+
+    @property
+    def abs_phi_desc(self) -> np.ndarray:
+        return self.cached("abs_phi_desc", lambda: self.abs_phi.ravel()[self.desc_order])
+
+    def abs_u(self, u: SymbolWeight) -> np.ndarray:
+        """|u| over the grid. Both weights of u's kind are built together
+        from one transient provider, which also gives abs_phi when it has
+        evaluated phi."""
+        def pair():
+            values = self.values()
+            tables = tuple(np.abs(formula(values))
+                           for _, formula in WEIGHT_FORMULAS[u.kind])
+            if "phi" in vars(values):
+                self.cached("abs_phi", lambda: values.abs_phi)
+            return tables
+        return self.cached(("abs_u", u.kind), pair)[u.slot]
 
 
 class SelfMapSymbol:
@@ -202,7 +196,7 @@ class SelfMapSymbol:
         "abs_phi", or a ``SymbolValues`` one such as "g1_phi", which a
         transient provider computes."""
         ctx = self.context(grid)
-        return getattr(ctx if key in GridContext.KEPT else ctx.values(), key)
+        return getattr(ctx if hasattr(GridContext, key) else ctx.values(), key)
 
 
 # -- series route ------------------------------------------------------------
@@ -326,15 +320,22 @@ WEIGHT_FORMULAS = {
 
 @dataclass(frozen=True)
 class SymbolWeight:
-    """A symbol weight u bound to a symbol: its label, which names the
-    formula in reports and in the tables and results a grid context keeps,
-    its formula over a value provider and the operator kind whose pair it
-    belongs to. Callable at points; ``on_grid`` gives the table over a
-    grid's points."""
-    label: str
-    formula: Callable
+    """A symbol weight u bound to a symbol: entry ``slot`` (0 for u1, 1 for
+    u2) of the pair ``WEIGHT_FORMULAS[kind]``, which gives its label (the
+    name in reports and in the keys a grid context keeps) and its formula
+    over a value provider. Callable at points; ``on_grid`` gives the table
+    over a grid's points."""
     sym: SelfMapSymbol
     kind: str
+    slot: int
+
+    @property
+    def label(self) -> str:
+        return WEIGHT_FORMULAS[self.kind][self.slot][0]
+
+    @property
+    def formula(self) -> Callable:
+        return WEIGHT_FORMULAS[self.kind][self.slot][1]
 
     def __call__(self, z):
         return self.formula(SymbolValues(self.sym, z))
@@ -347,8 +348,7 @@ def symbol_weights(kind: str, sym: SelfMapSymbol) -> dict[str, SymbolWeight]:
     """The two symbol weights (u1, u2) entering each operator's conditions."""
     if kind not in WEIGHT_FORMULAS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return {key: SymbolWeight(label, formula, sym, kind)
-            for key, (label, formula) in zip(("u1", "u2"), WEIGHT_FORMULAS[kind])}
+    return {"u1": SymbolWeight(sym, kind, 0), "u2": SymbolWeight(sym, kind, 1)}
 
 
 # -- symbol families from JSON -------------------------------------------------

@@ -178,7 +178,6 @@ class SupEstimate:
     """Result of a supremum estimate over the disk."""
     value: float
     argmax: complex
-    r_max_used: float
     refined: bool
     diverging: bool = False
     shell_max: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -238,7 +237,6 @@ def grid_supremum(magnitude, grid: DiskGrid,
         dr, dt = dr / half, dt / half
     return SupEstimate(value=best_val,
                        argmax=r_best * complex(math.cos(th_best), math.sin(th_best)),
-                       r_max_used=grid.r_max,
                        refined=True,
                        diverging=diverging,
                        shell_max=shell_max)

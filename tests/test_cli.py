@@ -116,6 +116,19 @@ def test_symbol_file_with_other_keys_exits_2(tmp_path, capsys, command, extra):
     assert "unknown symbol config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nseq", ["4", "9"])
+def test_essnorm_cli_with_a_short_scan(tmp_path, capsys, nseq):
+    # alpha = 1 brings a log condition, whose a + b/log n fit once read n = 1
+    sym = write_symbols(tmp_path)
+    rc = main(["essnorm", "--op", "vgcphi", "--alpha", "1", "--beta", "1",
+               "--config", sym, "--out", str(tmp_path / "out"),
+               "--nseq", nseq, *SMALL_GRID])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    est = json.loads((tmp_path / "out" / "essnorm_vgcphi_alpha1_beta1.json").read_text())
+    assert len(est["conditions"]) == 2
+
+
 def test_essnorm_cli(tmp_path):
     sym = write_symbols(tmp_path)
     rc = main(["essnorm", "--op", "cphiug", "--alpha", "2", "--beta", "1",
@@ -169,8 +182,10 @@ def test_sweep_validation(tmp_path):
     {"nseq": "abc"},
     {"alphas": ["x"]},
     {"grid": {"angels": 64}},
+    {"nsqe": 64},
 ], ids=["grid-angles", "unknown-phi", "missing-phi-family", "mobius-outside-disk",
-        "nseq-not-a-number", "alpha-not-a-number", "unknown-grid-key"])
+        "nseq-not-a-number", "alpha-not-a-number", "unknown-grid-key",
+        "unknown-top-level-key"])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -19,6 +19,11 @@ def sym_of(phi_coeffs, g_coeffs, grid):
                          grid=grid)
 
 
+def g_prime(sym):
+    """The vgcphi weight u2 = g': identically 1 for g = z, 0 for g = 0."""
+    return dv.symbol_weights("vgcphi", sym)["u2"]
+
+
 def test_conditions_table_v_type():
     for kind in ("vgcphi", "cphivg"):
         mems, conds = conditions_for(kind, 0.7)
@@ -58,8 +63,8 @@ def test_apply_scale_log_starts_at_two():
 
 
 def test_sequence_quantity_zero_symbol(grid):
-    sym = sym_of([0, 0.5], [0, 1], grid)
-    scan = sequence_quantity(lambda z: np.zeros_like(z), sym,
+    sym = sym_of([0, 0.5], [0], grid)
+    scan = sequence_quantity(g_prime(sym), sym,
                              Weight.standard(1.0), ("power", 1.0), 64, grid)
     assert np.all(scan.raw == 0.0) and scan.sup == 0.0
 
@@ -69,7 +74,7 @@ def test_sequence_quantity_monomial_asymptotics(grid):
     # approaches (2 alpha / e)^alpha
     sym = sym_of([0, 1], [0, 1], grid)
     for alpha in (0.5, 1.0, 2.0):
-        scan = sequence_quantity(lambda z: np.ones_like(z), sym,
+        scan = sequence_quantity(g_prime(sym), sym,
                                  Weight.standard(alpha), ("power", alpha),
                                  10_000, grid)
         window_max = float(np.max(scan.scaled[7500:]))
@@ -78,7 +83,7 @@ def test_sequence_quantity_monomial_asymptotics(grid):
 
 def test_sequence_quantity_geometric_decay(grid):
     sym = sym_of([0, 0.5], [0, 1], grid)
-    scan = sequence_quantity(lambda z: np.ones_like(z), sym,
+    scan = sequence_quantity(g_prime(sym), sym,
                              Weight.standard(1.0), ("power", 2.0), 512, grid)
     assert scan.raw[200] <= 0.5 ** 199
     assert scan.scaled[-1] < 1e-50
@@ -127,7 +132,7 @@ def direct_expression(values, u, beta, form):
     uvals = u.formula(values)
     y = one_minus_sq(values.abs_phi)
     factor = np.log(2.0 / y) if form[0] == "log" else y ** (-form[1])
-    return one_minus_sq(values.abs_z) ** beta * np.abs(uvals) * factor
+    return one_minus_sq(values.radius) ** beta * np.abs(uvals) * factor
 
 
 def test_context_table_equals_the_direct_formula():
@@ -142,7 +147,7 @@ def test_context_table_equals_the_direct_formula():
                 for beta in (0.5, 2.5):
                     for form in (("power", 0.0), ("power", 1.5), ("log",)):
                         values = SymbolValues(sym, grid.points)
-                        values.abs_z = grid.abs_points
+                        values.radius = grid.abs_points
                         want = direct_expression(values, u, beta, form)
                         got = expression(ctx, u, beta, form)
                         assert np.array_equal(got, want), (spec, kind, u.label, beta, form)
@@ -180,8 +185,53 @@ def test_context_keeps_no_complex_symbol_table():
     kept = [a for a in grid_arrays(ctx) if a.size >= grid.points.size]
     assert len(kept) >= 8 + 3       # |u| of the eight weights, the |phi| tables
     for a in kept:
-        if a is not grid.points:    # the grid's own points, read by plain functions
+        if a is not grid.points:    # the grid's own points, read by providers
             assert not np.iscomplexobj(a), (a.dtype, a.shape)
+
+
+def test_context_keeps_everything_in_one_memo():
+    # the |phi| tables, |u| of every weight, the scans, sups, rungs and
+    # ladders all sit in the memo; outside it the context holds only the
+    # grid's own arrays
+    grid = dv.DiskGrid(**SMALL_GRID)
+    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], grid)
+    for kind in dv.KINDS:
+        for alpha in (0.5, 1.0, 2.5):
+            report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=64)
+            dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=64, boundedness=report)
+    ctx = sym.context(grid)
+    memo = ctx._memo
+    outside = {key: value for key, value in vars(ctx).items()
+               if key not in ("_memo", "_sym")}
+    for a in grid_arrays(outside):
+        assert a is grid.points or a.base is grid.radii, (a.dtype, a.shape)
+    kinds = {key[0] if isinstance(key, tuple) else key for key in memo}
+    assert kinds == {"abs_phi", "desc_order", "abs_phi_desc", "abs_u", "scan", "sup",
+                     "rungs", "ladder"}
+    assert {key[1] for key in memo if key[0] == "abs_u"} == set(dv.KINDS)
+    assert ctx.abs_phi is memo["abs_phi"]
+
+
+def test_a_symbol_weight_is_its_kind_and_slot():
+    # the label a context keys its tables by and the formula the zoom
+    # evaluates both come from WEIGHT_FORMULAS, so they cannot disagree:
+    # the grid max, the ladder, the scan and the refined sup all read g' = 1
+    grid = dv.DiskGrid(**SMALL_GRID)
+    sym = sym_of([0, 1], [0, 1], grid)
+    with pytest.raises(TypeError):   # a label with a formula of its own
+        operators.SymbolWeight("g'", lambda v: 5.0 * np.ones_like(v.z), sym, "vgcphi")
+    u = operators.SymbolWeight(sym, "vgcphi", 1)
+    assert (u.label, u.formula) == operators.WEIGHT_FORMULAS["vgcphi"][1]
+    assert u == dv.symbol_weights("vgcphi", sym)["u2"]
+    ctx = sym.context(grid)
+    assert np.array_equal(ctx.abs_u(u), np.ones(grid.points.shape))
+    est = pointwise_quantity(u, sym, 1.0, ("power", 0.0), grid)
+    table = expression(ctx, u, 1.0, ("power", 0.0))
+    assert est.value == float(table.max())
+    _, sups, _ = dv.criteria.boundary_ladder(ctx, u, 1.0, ("power", 0.0))
+    assert max(sups) <= est.value <= 1.0
+    scan = sequence_quantity(u, sym, Weight.standard(1.0), ("power", 0.0), 8, grid)
+    assert scan.raw[0] == est.value
 
 
 def test_each_weight_is_evaluated_over_the_grid_once_per_context(monkeypatch):
@@ -261,9 +311,8 @@ def test_pointwise_quantity_weight_cancellation(grid):
 
 
 def test_pointwise_quantity_zero(grid):
-    sym = sym_of([0, 0.5], [0, 1], grid)
-    est = pointwise_quantity(lambda z: np.zeros_like(z), sym, 1.0,
-                             ("power", 2.0), grid)
+    sym = sym_of([0, 0.5], [0], grid)
+    est = pointwise_quantity(g_prime(sym), sym, 1.0, ("power", 2.0), grid)
     assert est.value == 0.0
 
 

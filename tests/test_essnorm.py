@@ -5,13 +5,19 @@ import pytest
 
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria
-from diskvolterra.essnorm import EPS_LADDER_RANGE, essnorm_conditions
+from diskvolterra.criteria import EPS_LADDER_RANGE, boundary_form, scan_window
+from diskvolterra.essnorm import essnorm_conditions
 from diskvolterra.operators import GridContext
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
     return SelfMapSymbol(TruncatedSeries(phi_coeffs), TruncatedSeries(g_coeffs),
                          grid=grid)
+
+
+def g_prime(sym):
+    """The vgcphi weight u2 = g': identically 1 for g = z, 0 for g = 0."""
+    return dv.symbol_weights("vgcphi", sym)["u2"]
 
 
 def test_essnorm_condition_table():
@@ -33,7 +39,7 @@ def test_sequence_limsup_monomials(grid):
     sym = sym_of([0, 1], [0, 1], grid)
     for alpha in (0.5, 1.0, 2.0):
         est, trend, extrap, _ = dv.sequence_limsup(
-            lambda z: np.ones_like(z), sym, Weight.standard(alpha),
+            g_prime(sym), sym, Weight.standard(alpha),
             ("power", alpha), 10_000, grid=grid)
         assert est == pytest.approx((2 * alpha / math.e) ** alpha, rel=0.02)
         assert extrap is None
@@ -41,31 +47,47 @@ def test_sequence_limsup_monomials(grid):
 
 def test_sequence_limsup_compact_decay(grid):
     sym = sym_of([0, 0.5], [0, 1], grid)
-    est, trend, _, _ = dv.sequence_limsup(lambda z: np.ones_like(z), sym,
+    est, trend, _, _ = dv.sequence_limsup(g_prime(sym), sym,
                                           Weight.standard(1.0), ("power", 3.0),
                                           4096, grid=grid)
     assert est == 0.0  # (1/2)^3072 underflows
 
 
 def test_sequence_limsup_zero(grid):
-    sym = sym_of([0, 0.5], [0, 1], grid)
-    est, _, _, _ = dv.sequence_limsup(lambda z: np.zeros_like(z), sym,
+    sym = sym_of([0, 0.5], [0], grid)
+    est, _, _, _ = dv.sequence_limsup(g_prime(sym), sym,
                                       Weight.standard(1.0), ("power", 1.0),
                                       256, grid=grid)
     assert est == 0.0
 
 
-def test_sequence_limsup_window_validation(grid):
-    sym = sym_of([0, 0.5], [0, 1], grid)
-    with pytest.raises(ValueError):
-        dv.sequence_limsup(lambda z: np.ones_like(z), sym, Weight.standard(1.0),
-                           ("power", 1.0), 64, window=64, grid=grid)
+@pytest.mark.parametrize("n_seq", [1, 4, 9, 10])
+def test_sequence_limsup_of_a_short_scan(grid, n_seq):
+    # the tail is the last scan_window(n_seq) + 1 indices, the whole scan
+    # when it is short; the log fit reads only n >= 2, where log n > 0
+    sym = sym_of([0, 1], [0, 1], grid)
+    u = g_prime(sym)
+    ns = np.arange(n_seq - scan_window(n_seq), n_seq + 1)
+    assert ns[0] == max(n_seq - 8, 0)
+    for weight, scale in ((Weight.standard(1.0), ("power", 1.0)),
+                          (Weight.logarithmic(), ("log",))):
+        est, trend, extrap, scan = dv.sequence_limsup(u, sym, weight, scale, n_seq,
+                                                      grid=grid)
+        assert est == float(np.max(scan.scaled[ns])) and math.isfinite(trend)
+        if scale[0] == "power" or n_seq < 3:
+            assert extrap is None
+            continue
+        fit = ns[ns >= 2]
+        x = 1.0 / np.log(fit.astype(float))
+        coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T,
+                                   scan.scaled[fit], rcond=None)
+        assert extrap == float(coef[0]) and math.isfinite(extrap)
 
 
 def test_sequence_limsup_log_extrapolation(grid):
     sym = sym_of([0, 1], [0, 1], grid)
     est, trend, extrap, _ = dv.sequence_limsup(
-        lambda z: np.ones_like(z), sym, Weight.logarithmic(), ("log",),
+        g_prime(sym), sym, Weight.logarithmic(), ("log",),
         8192, grid=grid)
     # log n * ||z^n||_{v_log} -> 1 slowly from below; the fit looks ahead
     assert 0.5 < est < 1.0
@@ -83,15 +105,13 @@ def test_boundary_limsup_empty_for_small_phi(grid):
 
 def test_boundary_limsup_weight_cancellation(grid):
     sym = sym_of([0, 1], [0, 1], grid)
-    scan = dv.boundary_limsup(lambda z: np.ones_like(z), sym, 1.0,
-                              ("power", 1.0), grid)
+    scan = dv.boundary_limsup(g_prime(sym), sym, 1.0, ("power", 1.0), grid)
     assert scan.estimate == pytest.approx(1.0, abs=1e-3)
 
 
 def test_boundary_limsup_zero_u(grid):
-    sym = sym_of([0, 1], [0, 1], grid)
-    scan = dv.boundary_limsup(lambda z: np.zeros_like(z), sym, 1.0,
-                              ("power", 1.0), grid)
+    sym = sym_of([0, 1], [0], grid)
+    scan = dv.boundary_limsup(g_prime(sym), sym, 1.0, ("power", 1.0), grid)
     assert scan.estimate == 0.0
 
 
@@ -183,7 +203,7 @@ def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
         assert len(built) == sum(c.diagnostic_only for c in est.conditions), kind
         weights = {u.label: u for u in dv.symbol_weights(kind, sym).values()}
         for c in est.conditions:
-            form = ("log",) if c.scale[0] == "log" else ("power", c.scale[1])
+            form = boundary_form(c.scale)
             ctx = sym.context(grid)
             table = expression(ctx, weights[c.u_label], 1.0, form)
             sups, nonempty = prefix_max_ladder(table, ctx.abs_phi)
