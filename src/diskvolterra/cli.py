@@ -647,6 +647,8 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             cfg = load_json_config(args.config) if args.config else {}
+            if not isinstance(cfg, dict):
+                raise ConfigError("sweep config must be a JSON object")
             if args.nseq != 4096:
                 cfg.setdefault("nseq", args.nseq)
             rows = run_sweep(cfg, out_dir)

@@ -20,7 +20,7 @@ import numpy as np
 from .operators import (KINDS, V_KINDS, GridContext, SelfMapSymbol, SymbolValues,
                         symbol_weights)
 from .spaces import (DiskGrid, SupEstimate, Weight, default_grid, grid_supremum,
-                     one_minus_sq)
+                     one_minus_sq, shell_maxima)
 
 #: sequence divergence evidence: >= this growth across the trailing window
 SEQUENCE_GROWTH_RATIO = 1.10
@@ -191,7 +191,7 @@ def sequence_quantity(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
     window = scan_window(n_seq)
     chunk = max(window // 8, 4)
     head = scaled[n_seq - window: n_seq - window + chunk]
-    tail = scaled[n_seq + 1 - chunk: n_seq + 1]
+    tail = scaled[max(n_seq + 1 - chunk, 0): n_seq + 1]
     head_mean, tail_mean = float(np.mean(head)), float(np.mean(tail))
     growing = head_mean > 0 and tail_mean >= SEQUENCE_GROWTH_RATIO * head_mean
     return SequenceScan(raw=s, scaled=scaled, scale=scale, sup=sup,
@@ -213,48 +213,37 @@ def boundary_factor(abs_phi, form: tuple):
     return y
 
 
-def expression(values: GridContext | SymbolValues, u, beta: float, form: tuple):
-    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) with F ``boundary_factor``, over a
-    grid context (its memo's tables, the radius per row) or a value provider
-    (a zoom patch or a single point). F is computed into the output buffer
-    and multiplied by (weight |u|), so both give the same bits."""
+def expression(values: SymbolValues, u, beta: float, form: tuple):
+    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) with F ``boundary_factor`` over a
+    value provider: the points of a zoom patch or a single point. F is
+    computed into the output buffer and multiplied by (weight |u|). A grid
+    context has the same three attributes, so this is also its full table;
+    the criteria read only ``table_maxima`` of the grid."""
     abs_u = values.abs_u(u)  # first, as in raw_sequence
     out = boundary_factor(values.abs_phi, form)
     out *= one_minus_sq(values.radius) ** beta * abs_u
     return out
 
 
-def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
-                       grid: DiskGrid | None = None) -> SupEstimate:
-    """sup over the disk of ``expression``: the coarse pass reads the grid
-    context's tables, the zoom evaluates the same formula on small patches,
-    and the context keeps the estimate and, from the same table, the
-    ``boundary_ladder``. It carries divergence evidence when the sup sits
-    on the outermost shells and still grows there."""
-    grid = grid or default_grid()
-    ctx = sym.context(grid)
-
-    def estimate():
-        table = expression(ctx, u, beta, form)
-        est = grid_supremum(lambda z: expression(SymbolValues(sym, z), u, beta, form),
-                            grid, grid_values=table)
-        boundary_ladder(ctx, u, beta, form, table=table)
-        return est
-    return ctx.cached(("sup", u.label, beta, form), estimate)
+def radial_weight(ctx: GridContext, beta: float) -> np.ndarray:
+    """(1-r^2)^beta for each radius r of the context's grid."""
+    return one_minus_sq(ctx.radius[:, 0]) ** beta
 
 
-def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
-                    table: np.ndarray | None = None) -> tuple:
-    """(eps, sups, nonempty) of ``expression`` over the rungs
-    {z : |phi(z)| > 1 - eps}, eps = 2^-k for k in EPS_LADDER_RANGE; an
-    empty rung has sup 0. The rungs are nested, so each is a union of
-    shells, the points between it and the next smaller rung. Once per
-    context the grid indices with |phi| > 1 - max eps are ordered by shell,
-    outermost first and ascending within a shell. Each ladder is then one
-    gather of ``table`` (built here when not given), one
-    ``maximum.reduceat`` over the non-empty shells and a running max over
-    the shell maxima. The context keeps the ladder per (u, beta, form)."""
-    def rungs():
+def rung_layout(ctx: GridContext) -> tuple:
+    """(eps, idx, seg_starts, seg_rows, shell_segs, n_live) of the rungs
+    {z : |phi(z)| > 1 - eps}, eps = 2^-k for k in EPS_LADDER_RANGE, kept
+    once per context.
+
+    The rungs are nested, so each is a union of shells, the points between
+    it and the next smaller rung. ``idx`` holds the grid indices with
+    |phi| > 1 - max eps ordered by shell, outermost first and ascending
+    within a shell, so each shell splits into runs of one grid row: the
+    segments, which start at ``seg_starts`` in ``idx`` and lie in rows
+    ``seg_rows``. ``shell_segs`` is the first segment of each non-empty
+    shell, and rung i holds the ``n_live[i]`` outermost of them.
+    """
+    def layout():
         lo, hi = EPS_LADDER_RANGE
         eps = tuple(2.0 ** (-k) for k in range(lo, hi + 1))
         # points per rung, non-increasing; reversed, the ends of the shells
@@ -262,23 +251,71 @@ def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple,
                                  side="left")
         ends = counts[::-1]
         starts = np.concatenate(([0], ends))[:-1]
-        shells = [np.sort(ctx.desc_order[a:b]) for a, b in zip(starts, ends)]
-        idx = np.concatenate(shells) if shells else np.zeros(0, dtype=np.intp)
+        idx = np.concatenate([np.sort(ctx.desc_order[a:b]) for a, b in zip(starts, ends)])
         live = ends > starts
-        # rung i holds the len(eps) - i outermost shells
+        rows = idx // ctx.z.shape[1]
+        first = np.ones(len(idx), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        first[starts[live]] = True
+        seg_starts = np.flatnonzero(first)
+        shell_segs = np.searchsorted(seg_starts, starts[live])
         n_live = np.cumsum(live)[::-1].tolist()
-        return eps, idx, starts[live], n_live
+        return eps, idx, seg_starts, rows[seg_starts], shell_segs, n_live
+    return ctx.cached("rungs", layout)
 
-    def ladder():
-        eps, idx, shell_starts, n_live = ctx.cached("rungs", rungs)
-        vals = expression(ctx, u, beta, form) if table is None else table
-        sups = np.zeros(0)
-        if len(shell_starts):
-            sups = np.maximum.accumulate(np.maximum.reduceat(vals.ravel()[idx],
-                                                             shell_starts))
-        return (eps, tuple(float(sups[k - 1]) if k > 0 else 0.0 for k in n_live),
-                tuple(k > 0 for k in n_live))
-    return ctx.cached(("ladder", u.label, beta, form), ladder)
+
+def table_maxima(ctx: GridContext, u, form: tuple) -> tuple:
+    """(row_max, row_col, seg_max) of h = |u| F(|phi|) over the grid, kept
+    per (u, form): per grid row the max of h and the first column holding
+    it (``spaces.shell_maxima``, which raises on a non-finite h), and per
+    segment of ``rung_layout`` the max of h. h is built here and dropped;
+    for the form F = 1 it is the context's |u| table itself.
+
+    Rounding is monotone, so for a radial weight w > 0 the max of
+    fl(w h) over a row or a segment is fl(w max h): every beta's coarse
+    sup, shell maxima and boundary ladder read exactly from these vectors
+    and ``radial_weight``, as from the table w (F |u|).
+    """
+    def reduce():
+        h = ctx.abs_u(u)
+        if form != ("power", 0.0):
+            f = boundary_factor(ctx.abs_phi, form)
+            h = np.multiply(f, h, out=f)
+        row_max, row_col = shell_maxima(h)
+        _, idx, seg_starts, *_ = rung_layout(ctx)
+        return row_max, row_col, np.maximum.reduceat(h.ravel()[idx], seg_starts)
+    return ctx.cached(("maxima", u.label, form), reduce)
+
+
+def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
+                       grid: DiskGrid | None = None) -> SupEstimate:
+    """sup over the disk of ``expression``: the coarse pass reads the shell
+    maxima radial_weight * row_max of ``table_maxima``, the zoom evaluates
+    ``expression`` on small patches, and the context keeps the estimate. It
+    carries divergence evidence when the sup sits on the outermost shells
+    and still grows there."""
+    grid = grid or default_grid()
+    ctx = sym.context(grid)
+
+    def estimate():
+        row_max, row_col, _ = table_maxima(ctx, u, form)
+        return grid_supremum(lambda z: expression(SymbolValues(sym, z), u, beta, form),
+                             grid, coarse=(radial_weight(ctx, beta) * row_max, row_col))
+    return ctx.cached(("sup", u.label, beta, form), estimate)
+
+
+def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple) -> tuple:
+    """(eps, sups, nonempty) of the grid table w (F |u|) over the rungs of
+    ``rung_layout``; an empty rung has sup 0. A segment's max is
+    its row's ``radial_weight`` times its ``table_maxima`` entry, a shell's
+    the max over its segments (one ``maximum.reduceat``), and a rung's the
+    running max over its shells."""
+    eps, _, _, seg_rows, shell_segs, n_live = rung_layout(ctx)
+    seg_max = table_maxima(ctx, u, form)[2]
+    sups = np.maximum.accumulate(np.maximum.reduceat(
+        radial_weight(ctx, beta)[seg_rows] * seg_max, shell_segs))
+    return (eps, tuple(float(sups[k - 1]) if k > 0 else 0.0 for k in n_live),
+            tuple(k > 0 for k in n_live))
 
 
 @dataclass

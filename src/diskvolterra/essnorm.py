@@ -80,12 +80,12 @@ def boundary_limsup(u, sym: SelfMapSymbol, beta: float, form: tuple,
     """Sups of the pointwise expression over {z : |phi(z)| > 1 - eps}, for
     eps = 2^-k with k in ``criteria.EPS_LADDER_RANGE``.
 
-    The sups are ``criteria.boundary_ladder``: for a weight whose sup
-    ``pointwise_quantity`` has taken, the grid context already keeps them;
-    otherwise the expression table is built once here (no refined sup is
-    taken). Empty rungs (the compact case ||phi|| < 1) contribute 0. The
-    estimate is the max over the last three nonempty rungs, annotated with
-    their trend.
+    The sups are ``criteria.boundary_ladder``, read from the row and
+    segment maxima the grid context keeps per (u, form): no table is built
+    per beta, and a (u, form) whose sup ``pointwise_quantity`` has taken
+    needs none at all. Empty rungs (the compact case ||phi|| < 1)
+    contribute 0. The estimate is the max over the last three nonempty
+    rungs, annotated with their trend.
     """
     ctx = sym.context(grid or default_grid())
     eps, sups, nonempty = map(list, boundary_ladder(ctx, u, beta, form))

@@ -87,8 +87,11 @@ class GridContext:
     """Everything one symbol keeps for one grid, in one memo filled through
     ``cached``: abs_phi = |phi|, desc_order (the argsort of -|phi| over the
     flattened points), abs_phi_desc (|phi| in that order), |u| per operator
-    kind (``abs_u``) and the scans, sups, rungs and ladders of ``criteria``.
-    It keeps float tables only: complex symbol values come from transient
+    kind (``abs_u``), and from ``criteria`` the sequence scans, the refined
+    sups, the boundary rung layout and, per (u, form), the row and segment
+    maxima of |u| F(|phi|) (``table_maxima``). The grid-sized tables it
+    keeps are the |phi| ones and |u|, all float: no table depends on a
+    target exponent, and complex symbol values come from transient
     ``values()`` providers. ``radius`` is the grid's radii as a column."""
 
     def __init__(self, sym, grid: DiskGrid):

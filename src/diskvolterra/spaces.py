@@ -194,26 +194,36 @@ def _shell_divergence(shell_max: np.ndarray, argmax_shell: int) -> bool:
     return a > 0 and c >= SHELL_GROWTH_RATIO * a
 
 
-def grid_supremum(magnitude, grid: DiskGrid,
-                  grid_values: np.ndarray | None = None) -> SupEstimate:
+def shell_maxima(vals: np.ndarray) -> tuple:
+    """(max of each row, first column holding it) of a grid table. argmax
+    takes NaN and inf for maxima, so a non-finite value anywhere leaves a
+    non-finite row max: it raises NonFiniteValueError."""
+    cols = vals.argmax(axis=1)
+    row_max = np.take_along_axis(vals, cols[:, None], axis=1)[:, 0]
+    if not np.all(np.isfinite(row_max)):
+        raise NonFiniteValueError("non-finite value in supremum sweep")
+    return row_max, cols
+
+
+def grid_supremum(magnitude, grid: DiskGrid, coarse: tuple | None = None) -> SupEstimate:
     """Max of a nonnegative function over the grid, then a zoom around it.
 
-    ``magnitude`` maps complex arrays to nonnegative reals. A precomputed
-    value table for ``grid.points`` can be passed to skip the coarse
-    evaluation. The zoom evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta)
-    patches in one call each: the first spans the grid samples next to the
-    argmax, each next one the samples next to the last patch's max, with r
-    clipped to [0, r_max], until the spacing is below ZOOM_STOP. The
-    estimate is the largest value seen, so never below the grid max.
-    Non-finite values raise NonFiniteValueError.
+    ``magnitude`` maps complex arrays to nonnegative reals. The coarse pass
+    is the pair (shell_max, shell_col): per grid radius, the max over its
+    circle and the first angle index holding it. It is ``coarse`` when
+    given, else ``shell_maxima`` of the values at ``grid.points``. The zoom
+    evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta) patches in one call each:
+    the first spans the grid samples next to the first radius holding the
+    largest shell max, at its shell_col; each next one the samples next to
+    the last patch's max, with r clipped to [0, r_max], until the spacing
+    is below ZOOM_STOP. The estimate is the largest value seen, so never
+    below the grid max. Non-finite values raise NonFiniteValueError.
     """
-    vals = magnitude(grid.points) if grid_values is None else grid_values
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValueError("non-finite value in supremum sweep")
-    shell_max = vals.max(axis=1)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best_val = float(vals[i, j])
-    diverging = _shell_divergence(shell_max, int(i))
+    shell_max, shell_col = coarse or shell_maxima(magnitude(grid.points))
+    i = int(np.argmax(shell_max))
+    j = int(shell_col[i])
+    best_val = float(shell_max[i])
+    diverging = _shell_divergence(shell_max, i)
 
     r_best, th_best = float(grid.radii[i]), float(grid.angles[j])
     half = (ZOOM_PATCH - 1) // 2

@@ -32,11 +32,6 @@ _NORM_SPACE = {"k_a": 1.0, "h_n": 1.0, "f_n": 1.0, "g_n": 1.0,
 CLAIM_TOL = 1e-8
 
 
-def _cpow(w, e):
-    """w**e on the principal branch, via exp(e log w)."""
-    return np.exp(e * np.log(w))
-
-
 def _log1_inv(w):
     """log(1/(1-w)), principal branch."""
     return -np.log(1.0 - w)
@@ -82,39 +77,42 @@ class TestFamily:
         return complex(out) if out.ndim == 0 else out
 
     # -- power-kernel families ----------------------------------------------
+    # w**e is exp(e L) on the principal branch, L = log(1 - conj(a) z) taken
+    # once per evaluation
 
-    def _f_a(self, z, order):
+    def _f_a(self, z, order, L=None):
         ab, s, al = self.abar, self.s, self.alpha
-        w = 1.0 - ab * z
+        L = np.log(1.0 - ab * z) if L is None else L
         if order == 0:
-            return (s * s * _cpow(w, -al) - s * _cpow(w, 1.0 - al)) / ab
+            return (s * s * np.exp(-al * L) - s * np.exp((1.0 - al) * L)) / ab
         if order == 1:
-            return s * s * al * _cpow(w, -al - 1.0) - s * (al - 1.0) * _cpow(w, -al)
-        return ab * (s * s * al * (al + 1.0) * _cpow(w, -al - 2.0)
-                     - s * (al - 1.0) * al * _cpow(w, -al - 1.0))
+            return s * s * al * np.exp((-al - 1.0) * L) - s * (al - 1.0) * np.exp(-al * L)
+        return ab * (s * s * al * (al + 1.0) * np.exp((-al - 2.0) * L)
+                     - s * (al - 1.0) * al * np.exp((-al - 1.0) * L))
 
-    def _h_a(self, z, order):
+    def _h_a(self, z, order, L=None):
         ab, s, al = self.abar, self.s, self.alpha
-        w = 1.0 - ab * z
+        L = np.log(1.0 - ab * z) if L is None else L
         if order == 0:
             if al == 1.0:
-                return -s * np.log(w) / (ab * ab)
-            return s * (1.0 - _cpow(w, 1.0 - al)) / (ab * ab * (1.0 - al))
+                return -s * L / (ab * ab)
+            return s * (1.0 - np.exp((1.0 - al) * L)) / (ab * ab * (1.0 - al))
         if order == 1:
-            return (s / ab) * _cpow(w, -al)
-        return s * al * _cpow(w, -al - 1.0)
+            return (s / ab) * np.exp(-al * L)
+        return s * al * np.exp((-al - 1.0) * L)
 
     def _g_a(self, z, order):
-        return self._f_a(z, order) - self._h_a(z, order)
+        L = np.log(1.0 - self.abar * z)  # shared by both parts
+        return self._f_a(z, order, L) - self._h_a(z, order, L)
 
     def _t_n_kernel(self, z, order):
         ab, s, al = self.abar, self.s, self.alpha
-        w = 1.0 - ab * z
+        L = np.log(1.0 - ab * z)
         if order == 0:
-            return s * s * _cpow(w, -al)
+            return s * s * np.exp(-al * L)
         if order == 1:
-            return s * s * al * ab * _cpow(w, -al - 1.0)
-        return s * s * al * (al + 1.0) * ab * ab * _cpow(w, -al - 2.0)
+            return s * s * al * ab * np.exp((-al - 1.0) * L)
+        return s * s * al * (al + 1.0) * ab * ab * np.exp((-al - 2.0) * L)
 
     # -- log-kernel families --------------------------------------------------
 

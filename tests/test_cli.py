@@ -174,22 +174,22 @@ def test_sweep_validation(tmp_path):
         run_sweep({"alphas": [0.0, 1.0]}, tmp_path)
 
 
-@pytest.mark.parametrize("cfg", [
-    {"grid": {"angles": 8}},
-    {"phis": [{"family": "bogus"}]},
-    {"phis": [{"params": {"c": 0.5}}]},
-    {"phis": [{"family": "mobius", "params": {"a": 1.5}}]},
-    {"nseq": "abc"},
-    {"alphas": ["x"]},
-    {"grid": {"angels": 64}},
-    {"nsqe": 64},
-], ids=["grid-angles", "unknown-phi", "missing-phi-family", "mobius-outside-disk",
-        "nseq-not-a-number", "alpha-not-a-number", "unknown-grid-key",
-        "unknown-top-level-key"])
-def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg):
+@pytest.mark.parametrize("cfg,flags", [
+    pytest.param({"grid": {"angles": 8}}, [], id="grid-angles"),
+    pytest.param({"phis": [{"family": "bogus"}]}, [], id="unknown-phi"),
+    pytest.param({"phis": [{"params": {"c": 0.5}}]}, [], id="missing-phi-family"),
+    pytest.param({"phis": [{"family": "mobius", "params": {"a": 1.5}}]}, [],
+                 id="mobius-outside-disk"),
+    pytest.param({"nseq": "abc"}, [], id="nseq-not-a-number"),
+    pytest.param({"alphas": ["x"]}, [], id="alpha-not-a-number"),
+    pytest.param({"grid": {"angels": 64}}, [], id="unknown-grid-key"),
+    pytest.param({"nsqe": 64}, [], id="unknown-top-level-key"),
+    pytest.param(None, ["--nseq", "64"], id="null-config-with-nseq"),
+])
+def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg, flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *flags])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import diskvolterra as dv
-from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, operators
+from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria, operators
 from diskvolterra.criteria import (_pareto_front, apply_scale, conditions_for, expression,
                                    front_sequence, pointwise_quantity, raw_sequence,
                                    sequence_quantity)
 from diskvolterra.operators import SymbolValues
 from diskvolterra.spaces import one_minus_sq
+
+from conftest import prefix_max_ladder, weighted_table
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
@@ -88,6 +90,15 @@ def test_sequence_quantity_geometric_decay(grid):
     assert scan.raw[200] <= 0.5 ** 199
     assert scan.scaled[-1] < 1e-50
     assert not scan.at_cap
+
+
+def test_a_two_term_scan_gives_the_verdict_of_its_neighbours(grid):
+    # at n_seq 2 the growth test's trailing chunk once wrapped round to the
+    # last value alone, so the log-scaled condition read as growing
+    sym = sym_of([0, 0.5], [0, 1], grid)
+    verdicts = [dv.check_boundedness("vgcphi", sym, 1.0, 1.0, grid, n_seq=n).verdict
+                for n in (1, 2, 3)]
+    assert verdicts == ["bounded"] * 3
 
 
 def test_sequence_quantity_raw_matches_direct_max(grid):
@@ -190,14 +201,17 @@ def test_context_keeps_no_complex_symbol_table():
 
 
 def test_context_keeps_everything_in_one_memo():
-    # the |phi| tables, |u| of every weight, the scans, sups, rungs and
-    # ladders all sit in the memo; outside it the context holds only the
-    # grid's own arrays
+    # the |phi| tables, |u| of every weight, the scans, sups, rung layout and
+    # the maxima of |u| F(|phi|) per (u, form) all sit in the memo; outside it
+    # the context holds only the grid's own arrays. The grid-sized arrays of
+    # the memo are the |phi| tables, |u| and the rung indices: no table of
+    # |u| F(|phi|), nor of any beta, is kept
     grid = dv.DiskGrid(**SMALL_GRID)
-    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], grid)
+    sym = sym_of([0, 0.9, 0.05], [0, 1, 0.5], grid)
     for kind in dv.KINDS:
         for alpha in (0.5, 1.0, 2.5):
             report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=64)
+            assert report.verdict == "bounded"
             dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=64, boundedness=report)
     ctx = sym.context(grid)
     memo = ctx._memo
@@ -207,9 +221,86 @@ def test_context_keeps_everything_in_one_memo():
         assert a is grid.points or a.base is grid.radii, (a.dtype, a.shape)
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo}
     assert kinds == {"abs_phi", "desc_order", "abs_phi_desc", "abs_u", "scan", "sup",
-                     "rungs", "ladder"}
+                     "rungs", "maxima"}
     assert {key[1] for key in memo if key[0] == "abs_u"} == set(dv.KINDS)
     assert ctx.abs_phi is memo["abs_phi"]
+    idx = memo["rungs"][1]
+    assert 0 < idx.size < grid.points.size
+    tables = [memo["abs_phi"], memo["desc_order"], memo["abs_phi_desc"], idx]
+    tables += [t for key, pair in memo.items() if key[0] == "abs_u" for t in pair]
+    big = [a for a in grid_arrays(memo) if a.size >= idx.size]
+    assert len(big) == len(tables) and all(any(a is t for t in tables) for a in big)
+    n_segs = len(memo["rungs"][2])
+    for key, value in memo.items():
+        if key[0] == "maxima":
+            row_max, row_col, seg_max = value
+            assert row_max.shape == row_col.shape == grid.radii.shape, key
+            assert seg_max.shape == (n_segs,), key
+
+
+FORMS = (("power", 0.0), ("power", 1.5), ("log",))
+
+
+def test_weighted_maxima_read_the_full_table_exactly():
+    # rounding is monotone, so the shell maxima, the zoom's start point and
+    # the ladder that each beta reads from the maxima of |u| F(|phi|) are
+    # those of the full table w (F |u|), bit for bit
+    grid = dv.DiskGrid(**SMALL_GRID)
+    for spec in TABLE_SYMBOLS:
+        sym = dv.symbol_from_config(spec, grid=grid)
+        ctx = sym.context(grid)
+        values = SymbolValues(sym, grid.points)
+        values.radius = grid.abs_points
+        for kind in dv.KINDS:
+            for u in dv.symbol_weights(kind, sym).values():
+                for beta in (0.5, 2.5):
+                    for form in FORMS:
+                        case = (spec, kind, u.label, beta, form)
+                        table = weighted_table(values, u, beta, form)
+                        est = pointwise_quantity(u, sym, beta, form, grid)
+                        assert np.array_equal(est.shell_max, table.max(axis=1)), case
+                        i = int(np.argmax(est.shell_max))
+                        row_col = criteria.table_maxima(ctx, u, form)[1]
+                        assert table[i, row_col[i]] == table.max(), case
+                        assert est.value >= table.max(), case
+                        _, sups, nonempty = criteria.boundary_ladder(ctx, u, beta, form)
+                        assert (list(sups), list(nonempty)) == prefix_max_ladder(
+                            table, ctx.abs_phi), case
+
+
+def test_boundary_factor_is_taken_once_per_weight_and_form(monkeypatch):
+    # the radial weight is applied per radius, so two betas of one (u, form)
+    # evaluate F(|phi|) over the grid once, and the form F = 1 never does
+    grid = dv.DiskGrid(**SMALL_GRID)
+    factor = criteria.boundary_factor
+    calls = collections.Counter()
+
+    def counted(abs_phi, form):
+        if np.shape(abs_phi) == grid.points.shape:
+            calls[form] += 1
+        return factor(abs_phi, form)
+    monkeypatch.setattr(criteria, "boundary_factor", counted)
+
+    sym = sym_of([0, 0.9, 0.05], [0, 1, 0.5], grid)
+    ctx = sym.context(grid)
+    u = dv.symbol_weights("cphivg", sym)["u2"]
+    for beta in (0.5, 2.5):
+        for form in FORMS:
+            pointwise_quantity(u, sym, beta, form, grid)
+            criteria.boundary_ladder(ctx, u, beta, form)
+    assert calls == {("power", 1.5): 1, ("log",): 1}
+
+    calls.clear()
+    sym = sym_of([0, 0.9, 0.05], [0, 1, 0.5], grid)
+    for kind in dv.KINDS:
+        for alpha in (0.5, 1.0, 2.0, 2.5):
+            for beta in (1.0, 2.0):
+                report = dv.check_boundedness(kind, sym, alpha, beta, grid, n_seq=64)
+                dv.essential_norm(kind, sym, alpha, beta, grid, n_seq=64,
+                                  boundedness=report)
+    forms = [key[2] for key in sym.context(grid)._memo
+             if key[0] == "maxima" and key[2] != ("power", 0.0)]
+    assert forms and sum(calls.values()) == len(forms)
 
 
 def test_a_symbol_weight_is_its_kind_and_slot():

@@ -5,9 +5,11 @@ import pytest
 
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria
-from diskvolterra.criteria import EPS_LADDER_RANGE, boundary_form, scan_window
+from diskvolterra.criteria import boundary_form, scan_window
 from diskvolterra.essnorm import essnorm_conditions
-from diskvolterra.operators import GridContext
+from diskvolterra.operators import SymbolValues
+
+from conftest import prefix_max_ladder, weighted_table
 
 
 def sym_of(phi_coeffs, g_coeffs, grid):
@@ -161,51 +163,42 @@ def test_essential_norm_reuses_the_boundedness_scans(grid, monkeypatch):
         assert est.combined == fresh.combined
 
 
-def prefix_max_ladder(table, abs_phi):
-    """The boundary ladder read off a full table: sort every grid point by
-    |phi| descending, take the running max and read it at each rung."""
-    w = abs_phi.ravel()
-    order = np.argsort(-w, kind="stable")
-    prefix_max = np.maximum.accumulate(table.ravel()[order])
-    sups, nonempty = [], []
-    for k in range(EPS_LADDER_RANGE[0], EPS_LADDER_RANGE[1] + 1):
-        count = int(np.searchsorted(-w[order], -(1.0 - 2.0 ** (-k)), side="left"))
-        nonempty.append(count > 0)
-        sups.append(float(prefix_max[count - 1]) if count > 0 else 0.0)
-    return sups, nonempty
-
-
 def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
-    expression = criteria.expression
-    tables = []
+    # the ladders read the row and segment maxima kept per (u, form): the
+    # essential norm builds |u| F(|phi|) only for the diagnostic conditions,
+    # whose (u, form) no sup has read, and each ladder equals the prefix-max
+    # ladder of the full table w (F |u|)
+    shell_maxima = criteria.shell_maxima
+    builds = []
 
-    def counted(values, u, beta, form):
-        if isinstance(values, GridContext):
-            tables.append((u.label, beta, form))
-        return expression(values, u, beta, form)
+    def counted(vals):
+        builds.append(vals.shape)
+        return shell_maxima(vals)
 
-    monkeypatch.setattr(criteria, "expression", counted)
+    monkeypatch.setattr(criteria, "shell_maxima", counted)
     # phi = 0.9 z reaches only the first rung, |phi| > 1 - 2^-3: the later
     # rungs, and so the shells between them, are empty
     for phi, kind, alpha in [(phi, kind, alpha) for phi in ([0, 0.9, 0.05], [0, 0.9])
                              for kind, alpha in (("vgcphi", 1.0), ("cphivg", 2.5),
                                                  ("cphiug", 0.5), ("ugcphi", 2.0))]:
-        del tables[:]
+        del builds[:]
         sym = sym_of(phi, [0, 1, 0.5], grid)
+        ctx = sym.context(grid)
         report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=256)
         assert report.verdict == "bounded"
-        seen = len(tables)
+        kept = {key for key in ctx._memo if key[0] == "maxima"}
+        assert len(builds) == len(kept), kind
         est = dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=256,
                                 boundedness=report)
-        built = tables[seen:]
-        assert len(set(tables)) == len(tables), kind
-        assert not set(built) & set(tables[:seen]), kind
-        assert len(built) == sum(c.diagnostic_only for c in est.conditions), kind
+        built = {key for key in ctx._memo if key[0] == "maxima"} - kept
+        assert len(builds) == len(kept) + len(built), kind
+        assert built == {("maxima", c.u_label, boundary_form(c.scale))
+                         for c in est.conditions if c.diagnostic_only}, kind
         weights = {u.label: u for u in dv.symbol_weights(kind, sym).values()}
+        values = SymbolValues(sym, grid.points)
+        values.radius = grid.abs_points
         for c in est.conditions:
-            form = boundary_form(c.scale)
-            ctx = sym.context(grid)
-            table = expression(ctx, weights[c.u_label], 1.0, form)
+            table = weighted_table(values, weights[c.u_label], 1.0, boundary_form(c.scale))
             sups, nonempty = prefix_max_ladder(table, ctx.abs_phi)
             assert c.boundary.sups == sups and c.boundary.nonempty == nonempty, kind
             if phi == [0, 0.9]:
