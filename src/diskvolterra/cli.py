@@ -39,6 +39,9 @@ MAX_CHECKPOINT = 10 ** 7
 #: checkpoints within this factor of the largest enter the a + b/log n fit
 LOG_FIT_SPAN = 100.0
 
+#: what reading a malformed symbol spec or sweep config raises
+SPEC_FAULTS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
 DEFAULT_SWEEP_CONFIG = {
     "kinds": list(KINDS),
     "phis": [
@@ -55,7 +58,6 @@ DEFAULT_SWEEP_CONFIG = {
     "alphas": [0.5, 1.0, 1.5, 2.0, 2.5],
     "betas": [0.5, 1.0, 1.5, 2.0, 2.5],
     "nseq": 4096,
-    "seed": 42,
     "compact_tol": 1e-3,
     "grid": {},
 }
@@ -176,15 +178,15 @@ def grid_from_args(args) -> DiskGrid:
         raise ConfigError(str(exc)) from exc
 
 
-def check_operator_args(args) -> None:
-    """The exponent and sequence-length flags of criterion and essnorm, as
-    config errors before any work: alpha and beta must be positive and
-    finite, nseq at least 1."""
-    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+def check_operator_args(alphas, betas, n_seq: int) -> None:
+    """The one rule for operator arguments, from the criterion and essnorm
+    flags or from a sweep config, as config errors before any work: every
+    alpha and beta positive and finite, nseq at least 1."""
+    for name, value in [("alpha", a) for a in alphas] + [("beta", b) for b in betas]:
         if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
-    if args.nseq < 1:
-        raise ConfigError(f"--nseq must be >= 1, got {args.nseq}")
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if n_seq < 1:
+        raise ConfigError(f"nseq must be >= 1, got {n_seq}")
 
 
 def symbol_from_file(args, grid: DiskGrid) -> SelfMapSymbol:
@@ -197,7 +199,7 @@ def symbol_from_file(args, grid: DiskGrid) -> SelfMapSymbol:
                           '(a symbol file holds only "phi" and "g")')
     try:
         return symbol_from_config(cfg, grid=grid)
-    except (KeyError, ValueError) as exc:
+    except SPEC_FAULTS as exc:
         raise ConfigError(f"bad symbol config: {exc}") from exc
 
 
@@ -447,11 +449,10 @@ def _validate_sweep_config(cfg: dict) -> dict:
     for kind in merged["kinds"]:
         if kind not in KINDS:
             raise ConfigError(f"unknown operator kind {kind!r}")
-    for alpha in list(merged["alphas"]) + list(merged["betas"]):
-        if not alpha > 0:
-            raise ConfigError("alphas and betas must be positive")
-    if int(merged["nseq"]) < 2:
-        raise ConfigError("nseq must be >= 2")
+    check_operator_args(merged["alphas"], merged["betas"], int(merged["nseq"]))
+    compact_tol = float(merged["compact_tol"])
+    if not (compact_tol >= 0 and math.isfinite(compact_tol)):
+        raise ConfigError(f"compact_tol must be finite and >= 0, got {compact_tol!r}")
     return merged
 
 
@@ -480,7 +481,7 @@ def run_sweep(cfg: dict, out_dir: Path) -> list:
             for gi, g_spec in enumerate(cfg["gs"]):
                 symbols[(pi, gi)] = symbol_from_config(
                     {"phi": phi_spec, "g": g_spec}, grid=grid)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except SPEC_FAULTS as exc:
         raise ConfigError(f"bad sweep config: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -607,7 +608,7 @@ def main(argv=None) -> int:
 
         grid = grid_from_args(args)
         if args.command in ("criterion", "essnorm"):
-            check_operator_args(args)
+            check_operator_args([args.alpha], [args.beta], args.nseq)
 
         if args.command == "norms":
             sym = symbol_from_file(args, grid)

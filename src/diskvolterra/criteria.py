@@ -164,7 +164,7 @@ def raw_sequence(ctx: GridContext, u, weight: Weight, n_seq: int) -> np.ndarray:
     ``front_sequence`` over the Pareto front of (|phi|, v|u|), in
     O(grid + front + n_seq log hull) once the context has sorted |phi|.
     |u| is the context's table, the one ``expression`` reads; the radial
-    weight v is taken per radius and broadcast along the rows."""
+    weight v is taken at the grid radii and broadcast along the rows."""
     # |u| before any other grid-sized array: one allocated first made glibc
     # re-fault the heap in each Horner step of u's series tables (2.7x slower)
     abs_u = ctx.abs_u(u)
@@ -214,20 +214,16 @@ def boundary_factor(abs_phi, form: tuple):
 
 
 def expression(values: SymbolValues, u, beta: float, form: tuple):
-    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) with F ``boundary_factor`` over a
-    value provider: the points of a zoom patch or a single point. F is
-    computed into the output buffer and multiplied by (weight |u|). A grid
-    context has the same three attributes, so this is also its full table;
-    the criteria read only ``table_maxima`` of the grid."""
+    """(1-|z|^2)^beta |u(z)| F(|phi(z)|) with F ``boundary_factor`` and the
+    weight ``Weight.standard(beta)`` at the exact radii ``values.radius``,
+    over a value provider: the points of a zoom patch. F is computed into
+    the output buffer and multiplied by (weight |u|). A grid context has
+    the same attributes, so this is also its full table; the criteria read
+    only ``table_maxima`` of the grid."""
     abs_u = values.abs_u(u)  # first, as in raw_sequence
     out = boundary_factor(values.abs_phi, form)
-    out *= one_minus_sq(values.radius) ** beta * abs_u
+    out *= Weight.standard(beta)(values.radius) * abs_u
     return out
-
-
-def radial_weight(ctx: GridContext, beta: float) -> np.ndarray:
-    """(1-r^2)^beta for each radius r of the context's grid."""
-    return one_minus_sq(ctx.radius[:, 0]) ** beta
 
 
 def rung_layout(ctx: GridContext) -> tuple:
@@ -274,7 +270,7 @@ def table_maxima(ctx: GridContext, u, form: tuple) -> tuple:
     Rounding is monotone, so for a radial weight w > 0 the max of
     fl(w h) over a row or a segment is fl(w max h): every beta's coarse
     sup, shell maxima and boundary ladder read exactly from these vectors
-    and ``radial_weight``, as from the table w (F |u|).
+    and the radial weight at the grid radii, as from the table w (F |u|).
     """
     def reduce():
         h = ctx.abs_u(u)
@@ -290,30 +286,31 @@ def table_maxima(ctx: GridContext, u, form: tuple) -> tuple:
 def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
                        grid: DiskGrid | None = None) -> SupEstimate:
     """sup over the disk of ``expression``: the coarse pass reads the shell
-    maxima radial_weight * row_max of ``table_maxima``, the zoom evaluates
-    ``expression`` on small patches, and the context keeps the estimate. It
-    carries divergence evidence when the sup sits on the outermost shells
-    and still grows there."""
+    maxima w * row_max of ``table_maxima``, w the weight at the grid radii,
+    the zoom evaluates ``expression`` on small patches at their exact radii,
+    and the context keeps the estimate. It carries divergence evidence when
+    the sup sits on the outermost shells and still grows there."""
     grid = grid or default_grid()
     ctx = sym.context(grid)
 
     def estimate():
         row_max, row_col, _ = table_maxima(ctx, u, form)
-        return grid_supremum(lambda z: expression(SymbolValues(sym, z), u, beta, form),
-                             grid, coarse=(radial_weight(ctx, beta) * row_max, row_col))
+        return grid_supremum(
+            lambda r, z: expression(SymbolValues(sym, z, r), u, beta, form), grid,
+            coarse=(Weight.standard(beta)(grid.radii) * row_max, row_col))
     return ctx.cached(("sup", u.label, beta, form), estimate)
 
 
 def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple) -> tuple:
     """(eps, sups, nonempty) of the grid table w (F |u|) over the rungs of
-    ``rung_layout``; an empty rung has sup 0. A segment's max is
-    its row's ``radial_weight`` times its ``table_maxima`` entry, a shell's
+    ``rung_layout``; an empty rung has sup 0. A segment's max is the radial
+    weight at its row's radius times its ``table_maxima`` entry, a shell's
     the max over its segments (one ``maximum.reduceat``), and a rung's the
     running max over its shells."""
     eps, _, _, seg_rows, shell_segs, n_live = rung_layout(ctx)
     seg_max = table_maxima(ctx, u, form)[2]
     sups = np.maximum.accumulate(np.maximum.reduceat(
-        radial_weight(ctx, beta)[seg_rows] * seg_max, shell_segs))
+        Weight.standard(beta)(ctx.radius[seg_rows, 0]) * seg_max, shell_segs))
     return (eps, tuple(float(sups[k - 1]) if k > 0 else 0.0 for k in n_live),
             tuple(k > 0 for k in n_live))
 

@@ -57,19 +57,18 @@ _SYMBOL_ATTRS = {
 class SymbolValues:
     """Values of a symbol at fixed points z, each computed on first access:
     phi, phi1, phi2, g, g1, g2 (at z), g_phi, g1_phi, g2_phi (at phi(z)),
-    abs_phi = |phi(z)|, radius = |z| and, like a ``GridContext``, |u| of a
-    symbol weight (``abs_u``). A provider is transient: nothing keeps one
-    over a whole grid."""
+    abs_phi = |phi(z)| and, like a ``GridContext``, |u| of a symbol weight
+    (``abs_u``); ``radius`` holds the exact radii of the points, as given.
+    A provider is transient: nothing keeps one over a whole grid."""
 
-    def __init__(self, sym, z):
+    def __init__(self, sym, z, radius=None):
         self.z = z
+        self.radius = radius
         self._sym = sym
 
     def __getattr__(self, key):
         if key == "abs_phi":
             val = np.abs(self.phi)
-        elif key == "radius":
-            val = np.abs(self.z)
         elif key in _SYMBOL_ATTRS:
             name, at_phi = _SYMBOL_ATTRS[key]
             val = getattr(self._sym, name)(self.phi if at_phi else self.z)
@@ -92,7 +91,8 @@ class GridContext:
     maxima of |u| F(|phi|) (``table_maxima``). The grid-sized tables it
     keeps are the |phi| ones and |u|, all float: no table depends on a
     target exponent, and complex symbol values come from transient
-    ``values()`` providers. ``radius`` is the grid's radii as a column."""
+    ``values()`` providers, which carry its ``radius``: the exact grid radii
+    as a column, from which every radial weight is taken."""
 
     def __init__(self, sym, grid: DiskGrid):
         self.z = grid.points
@@ -101,8 +101,8 @@ class GridContext:
         self._memo: dict = {}
 
     def values(self) -> SymbolValues:
-        """A transient provider over the grid's points."""
-        return SymbolValues(self._sym, self.z)
+        """A transient provider over the grid's points and radii."""
+        return SymbolValues(self._sym, self.z, self.radius)
 
     def cached(self, key, compute):
         """compute() on the first use of ``key``, then kept in the memo."""

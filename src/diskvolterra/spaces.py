@@ -69,11 +69,9 @@ def one_minus_sq(r):
 
 
 class Weight:
-    """A radial weight on the disk: standard (1-|z|^2)^alpha or logarithmic.
-
-    The logarithmic weight is 1 / log(2/(1-|z|^2)). Both are strictly
-    positive, bounded and non-increasing in |z|.
-    """
+    """A radial weight on the disk, called on radii r, never on points:
+    standard (1-r^2)^alpha or logarithmic 1 / log(2/(1-r^2)). Both are
+    strictly positive, bounded and non-increasing in r."""
 
     __slots__ = ("kind", "alpha")
 
@@ -96,8 +94,7 @@ class Weight:
     def logarithmic(cls) -> "Weight":
         return cls("log")
 
-    def __call__(self, z):
-        r = np.abs(z)
+    def __call__(self, r):
         y = one_minus_sq(r)
         if self.kind == "standard":
             return y ** self.alpha
@@ -138,8 +135,6 @@ class DiskGrid:
         self.steps_per_octave = int(steps_per_octave)
         self.angles = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
         self.points = self.radii[:, None] * np.exp(1j * self.angles)[None, :]
-        self.abs_points = np.broadcast_to(self.radii[:, None],
-                                          self.points.shape)
         self.points.flags.writeable = False
         self.radii.flags.writeable = False
         self.angles.flags.writeable = False
@@ -208,18 +203,22 @@ def shell_maxima(vals: np.ndarray) -> tuple:
 def grid_supremum(magnitude, grid: DiskGrid, coarse: tuple | None = None) -> SupEstimate:
     """Max of a nonnegative function over the grid, then a zoom around it.
 
-    ``magnitude`` maps complex arrays to nonnegative reals. The coarse pass
-    is the pair (shell_max, shell_col): per grid radius, the max over its
-    circle and the first angle index holding it. It is ``coarse`` when
-    given, else ``shell_maxima`` of the values at ``grid.points``. The zoom
-    evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta) patches in one call each:
-    the first spans the grid samples next to the first radius holding the
-    largest shell max, at its shell_col; each next one the samples next to
-    the last patch's max, with r clipped to [0, r_max], until the spacing
-    is below ZOOM_STOP. The estimate is the largest value seen, so never
-    below the grid max. Non-finite values raise NonFiniteValueError.
+    ``magnitude(r, z)`` maps points z to nonnegative reals, with r their
+    exact radii as a column broadcasting against z: a radial weight reads
+    r, never |z|, whose rounding costs up to 2.4e-4 relative at the cap.
+    The coarse pass is the pair (shell_max, shell_col): per grid radius,
+    the max over its circle and the first angle index holding it. It is
+    ``coarse`` when given, else ``shell_maxima`` of the values at the grid.
+    The zoom evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta) patches in one
+    call each: the first spans the grid samples next to the first radius
+    holding the largest shell max, at its shell_col; each next one the
+    samples next to the last patch's max, with r clipped to [0, r_max],
+    until the spacing is below ZOOM_STOP. The estimate is the largest value
+    seen, so never below the grid max. Non-finite values raise
+    NonFiniteValueError.
     """
-    shell_max, shell_col = coarse or shell_maxima(magnitude(grid.points))
+    shell_max, shell_col = coarse or shell_maxima(
+        magnitude(grid.radii[:, None], grid.points))
     i = int(np.argmax(shell_max))
     j = int(shell_col[i])
     best_val = float(shell_max[i])
@@ -235,7 +234,7 @@ def grid_supremum(magnitude, grid: DiskGrid, coarse: tuple | None = None) -> Sup
     while True:
         rs = np.clip(r_mid + dr * steps, 0.0, grid.r_max)
         ths = th_mid + dt * steps
-        patch = magnitude(rs[:, None] * np.exp(1j * ths)[None, :])
+        patch = magnitude(rs[:, None], rs[:, None] * np.exp(1j * ths)[None, :])
         if not np.all(np.isfinite(patch)):
             raise NonFiniteValueError("non-finite value in supremum zoom")
         a, b = np.unravel_index(int(np.argmax(patch)), patch.shape)
@@ -253,8 +252,8 @@ def grid_supremum(magnitude, grid: DiskGrid, coarse: tuple | None = None) -> Sup
 
 
 def weighted_sup_norm(f_eval, weight: Weight, grid: DiskGrid) -> SupEstimate:
-    """sup over the disk of weight(z) * |f(z)|, grid estimate plus refinement."""
-    return grid_supremum(lambda z: weight(z) * np.abs(f_eval(z)), grid)
+    """sup over the disk of weight(|z|) * |f(z)|, the weight read at exact radii."""
+    return grid_supremum(lambda r, z: weight(r) * np.abs(f_eval(z)), grid)
 
 
 def monomial_norm(n: int, weight: Weight) -> float:
@@ -344,7 +343,7 @@ def growth_bound_check(f: Analytic, alpha: float,
         raise ValueError("growth bounds are undefined for the zero function")
     fv = np.abs(f(grid.points))
     fpv = np.abs(f.derivative()(grid.points))
-    one_minus_r = 1.0 - grid.abs_points
+    one_minus_r = 1.0 - grid.radii[:, None]
     log_factor = 2.0 * np.log(2.0 / one_minus_r)
 
     checks: list[ClauseCheck] = []

@@ -116,6 +116,39 @@ def test_symbol_file_with_other_keys_exits_2(tmp_path, capsys, command, extra):
     assert "unknown symbol config keys" in capsys.readouterr().err
 
 
+SYMBOLS = {"phi": {"family": "scaled_identity", "params": {"c": 0.5}},
+           "g": {"family": "identity"}}
+
+
+@pytest.mark.parametrize("command,entry", [
+    pytest.param("criterion", {"phi": {"family": "mobius", "params": {"a": [0.5]}}},
+                 id="mobius-a-one-entry"),
+    pytest.param("norms", {"phi": {"family": "mobius", "params": {"a": {"re": 0.5}}}},
+                 id="mobius-a-object"),
+    pytest.param("criterion", {"phi": {"family": "mobius", "params": []}},
+                 id="params-list"),
+    pytest.param("essnorm", {"g": {"family": "poly", "params": {"coeffs": 5}}},
+                 id="poly-coeffs-number"),
+    pytest.param("norms", {"phi": []}, id="phi-list"),
+    pytest.param("criterion", {"phi": {"family": "scaled_identity", "params": {"c": None}}},
+                 id="c-null"),
+    pytest.param("sweep", {"phis": [{"family": "mobius", "params": {"a": [0.5]}}]},
+                 id="sweep-mobius-a-one-entry"),
+])
+def test_malformed_symbol_specs_exit_2(tmp_path, capsys, command, entry):
+    # each of these once escaped as an IndexError, TypeError or
+    # AttributeError with a traceback and exit code 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entry if command == "sweep" else {**SYMBOLS, **entry}))
+    flags = ([] if command in ("norms", "sweep")
+             else ["--op", "vgcphi", "--alpha", "1", "--beta", "1", "--nseq", "64"])
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+               *SMALL_GRID, *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("nseq", ["4", "9"])
 def test_essnorm_cli_with_a_short_scan(tmp_path, capsys, nseq):
     # alpha = 1 brings a log condition, whose a + b/log n fit once read n = 1
@@ -185,6 +218,17 @@ def test_sweep_validation(tmp_path):
     pytest.param({"grid": {"angels": 64}}, [], id="unknown-grid-key"),
     pytest.param({"nsqe": 64}, [], id="unknown-top-level-key"),
     pytest.param(None, ["--nseq", "64"], id="null-config-with-nseq"),
+    # one rule for operator arguments: the criterion and essnorm flags refuse
+    # these too, but a sweep once ran them and wrote inf or NaN into reports
+    pytest.param({"betas": [math.inf]}, [], id="beta-infinite"),
+    pytest.param({"alphas": [1.0, math.inf]}, [], id="alpha-infinite"),
+    pytest.param({"betas": [math.nan]}, [], id="beta-nan"),
+    pytest.param({"nseq": 0}, [], id="nseq-zero"),
+    pytest.param({"compact_tol": math.nan}, [], id="compact-tol-nan"),
+    pytest.param({"compact_tol": math.inf}, [], id="compact-tol-infinite"),
+    pytest.param({"compact_tol": -1e-3}, [], id="compact-tol-negative"),
+    # nothing read the seed key, so it is gone like any unknown key
+    pytest.param({"seed": 42}, [], id="seed-key"),
 ])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -214,6 +258,17 @@ def test_sweep_small_config(tmp_path):
     # compact column is true for phi = z/2 cells
     for line in summary[1:]:
         assert line.split(",")[-2] == "True"
+
+
+def test_sweep_runs_a_one_term_scan(tmp_path):
+    # a sweep takes any nseq >= 1, as the criterion and essnorm flags do
+    cfg = {"kinds": ["vgcphi"], "phis": [{"family": "scaled_identity", "params": {"c": 0.5}}],
+           "gs": [{"family": "identity"}], "alphas": [1.0], "betas": [1.0], "nseq": 1,
+           "grid": {"radii_count": 8, "angles": 64, "j_max": 12}}
+    rows = run_sweep(cfg, tmp_path / "out")
+    assert [row[-1] for row in rows] == [""]
+    echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+    assert echo["nseq"] == 1 and "seed" not in echo
 
 
 def test_sweep_cli_with_config_file(tmp_path):

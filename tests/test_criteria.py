@@ -105,7 +105,7 @@ def test_sequence_quantity_raw_matches_direct_max(grid):
     sym = sym_of([0, 0.2, 0.3], [0, 1], grid)
     u = dv.symbol_weights("vgcphi", sym)["u1"]
     scan = sequence_quantity(u, sym, Weight.standard(1.0), ("power", 1.0), 16, grid)
-    A = Weight.standard(1.0)(grid.abs_points) * np.abs(u.on_grid(grid))
+    A = Weight.standard(1.0)(grid.radii[:, None]) * np.abs(u.on_grid(grid))
     p = np.abs(sym.phi(grid.points))
     for n in (0, 3, 16):
         assert scan.raw[n] == pytest.approx(float(np.max(A * p ** n)), rel=1e-12)
@@ -120,7 +120,7 @@ def test_raw_sequence_equals_the_full_table_construction(grid):
     for kind in dv.KINDS:
         for u in dv.symbol_weights(kind, sym).values():
             for w in (Weight.standard(0.5), Weight.standard(2.5), Weight.logarithmic()):
-                A = w(grid.abs_points) * np.abs(u.on_grid(grid))
+                A = w(grid.radii[:, None]) * np.abs(u.on_grid(grid))
                 order = np.argsort(-p.ravel(), kind="stable")
                 want = front_sequence(*_pareto_front(A, p.ravel()[order], order), 64)
                 assert np.array_equal(raw_sequence(ctx, u, w, 64), want), (kind, u.label)
@@ -157,8 +157,7 @@ def test_context_table_equals_the_direct_formula():
             for u in dv.symbol_weights(kind, sym).values():
                 for beta in (0.5, 2.5):
                     for form in (("power", 0.0), ("power", 1.5), ("log",)):
-                        values = SymbolValues(sym, grid.points)
-                        values.radius = grid.abs_points
+                        values = SymbolValues(sym, grid.points, grid.radii[:, None])
                         want = direct_expression(values, u, beta, form)
                         got = expression(ctx, u, beta, form)
                         assert np.array_equal(got, want), (spec, kind, u.label, beta, form)
@@ -249,8 +248,7 @@ def test_weighted_maxima_read_the_full_table_exactly():
     for spec in TABLE_SYMBOLS:
         sym = dv.symbol_from_config(spec, grid=grid)
         ctx = sym.context(grid)
-        values = SymbolValues(sym, grid.points)
-        values.radius = grid.abs_points
+        values = SymbolValues(sym, grid.points, grid.radii[:, None])
         for kind in dv.KINDS:
             for u in dv.symbol_weights(kind, sym).values():
                 for beta in (0.5, 2.5):

@@ -195,8 +195,7 @@ def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
         assert built == {("maxima", c.u_label, boundary_form(c.scale))
                          for c in est.conditions if c.diagnostic_only}, kind
         weights = {u.label: u for u in dv.symbol_weights(kind, sym).values()}
-        values = SymbolValues(sym, grid.points)
-        values.radius = grid.abs_points
+        values = SymbolValues(sym, grid.points, grid.radii[:, None])
         for c in est.conditions:
             table = weighted_table(values, weights[c.u_label], 1.0, boundary_form(c.scale))
             sups, nonempty = prefix_max_ladder(table, ctx.abs_phi)

@@ -23,8 +23,9 @@ from conftest import random_series
 REL_TOL = 1e-3
 
 #: share of the sups that must agree with the reference to AGREE_TOL; the
-#: others sit at the radius cap, where 1 - |z|^2 carries rounding error,
-#: or the two searches climb to different local maxima
+#: others mostly sit where |phi| is near 1, so that 1 - |phi|^2 from the
+#: modulus of phi(z) carries rounding error, or the two searches climb to
+#: different local maxima
 AGREE_SHARE = 0.8
 AGREE_TOL = 1e-9
 
@@ -38,8 +39,9 @@ def golden_reference(magnitude, grid, depth=4, tol=1e-14):
     per pass one in r along the argmax ray, then one in theta at that
     radius, each next window a quarter of the last one. This is the
     refinement the zoom replaced, run deeper (4 passes, not 2) and tighter
-    (tol 1e-14, not 1e-12)."""
-    vals = magnitude(grid.points)
+    (tol 1e-14, not 1e-12). ``magnitude(r, z)`` is called as
+    ``grid_supremum`` calls it, with the exact radii of the points."""
+    vals = magnitude(grid.radii[:, None], grid.points)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best = float(vals[i, j])
     r_star, th_star = float(grid.radii[i]), float(grid.angles[j])
@@ -49,11 +51,12 @@ def golden_reference(magnitude, grid, depth=4, tol=1e-14):
     th_lo, th_hi = th_star - dth, th_star + dth
     for _ in range(depth):
         r_new, v1 = golden_max(
-            lambda r: float(magnitude(r * np.exp(1j * th_star))), r_lo, r_hi, tol=tol)
+            lambda r: float(magnitude(r, r * np.exp(1j * th_star))), r_lo, r_hi, tol=tol)
         if v1 > best:
             best, r_star = v1, r_new
         th_new, v2 = golden_max(
-            lambda th: float(magnitude(r_star * np.exp(1j * th))), th_lo, th_hi, tol=tol)
+            lambda th: float(magnitude(r_star, r_star * np.exp(1j * th))),
+            th_lo, th_hi, tol=tol)
         if v2 > best:
             best, th_star = v2, th_new
         w_r, w_th = (r_hi - r_lo) / 4.0, (th_hi - th_lo) / 4.0
@@ -88,7 +91,8 @@ def refined_and_reference(sym, kind, key, beta, form, grid):
     of the same expression."""
     u = symbol_weights(kind, sym)[key]
     est = pointwise_quantity(u, sym, beta, form, grid)
-    ref = golden_reference(lambda z: expression(SymbolValues(sym, z), u, beta, form), grid)
+    ref = golden_reference(
+        lambda r, z: expression(SymbolValues(sym, z, r), u, beta, form), grid)
     return est, ref
 
 
@@ -112,20 +116,21 @@ def test_refined_sup_is_never_below_the_grid_max(grid, rng):
     for degree in (1, 3, 8, 20):
         f = random_series(rng, degree)
         est = dv.weighted_sup_norm(f, weight, grid)
-        coarse = np.max(weight(grid.points) * np.abs(f(grid.points)))
+        coarse = np.max(weight(grid.radii[:, None]) * np.abs(f(grid.points)))
         assert est.refined and est.value >= coarse
 
 
 @pytest.mark.parametrize("angles,j_max", [(512, 40), (64, 12)])
 def test_one_magnitude_call_per_zoom_level(angles, j_max):
     grid = dv.DiskGrid(angles=angles, j_max=j_max)
-    shapes = []
+    calls = []
 
-    def magnitude(z):
-        shapes.append(z.shape)
-        return dv.Weight.standard(1.0)(z) * np.abs(z) ** 3
+    def magnitude(r, z):
+        calls.append((r, z))
+        return dv.Weight.standard(1.0)(r) * np.abs(z) ** 3
 
     dv.grid_supremum(magnitude, grid)
+    shapes = [z.shape for _, z in calls]
     # the first patch spans two grid gaps in r and two in theta; each
     # level divides the spacing by half the patch's gap count
     half = (ZOOM_PATCH - 1) // 2
@@ -134,3 +139,25 @@ def test_one_magnitude_call_per_zoom_level(angles, j_max):
     assert shapes[0] == grid.points.shape
     assert shapes[1:] == [(ZOOM_PATCH, ZOOM_PATCH)] * (len(shapes) - 1)
     assert 1 < len(shapes) <= 1 + levels
+    # every call gets the exact radii of its points: the grid radii on the
+    # coarse pass, the clipped patch radii in the zoom, with z = r e^{i theta}
+    r, z = calls[0]
+    assert np.array_equal(r, grid.radii[:, None]) and np.array_equal(z, grid.points)
+    for r, z in calls[1:]:
+        assert r.shape == (ZOOM_PATCH, 1)
+        assert np.all((0.0 <= r) & (r <= grid.r_max))
+        unit = z[-1] / r[-1]
+        assert np.allclose(np.abs(unit), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(z, r * unit, rtol=1e-14, atol=0)
+
+
+def test_cap_shell_sup_meets_the_exact_radius_reference(grid):
+    # the argmax of this sup lies on the outermost shell, r = 1 - 2^-40,
+    # where 1 - |z|^2 taken from the modulus of a complex point overshot
+    # the exact-radius reference by 1.7e-4 relative
+    spec = {"phi": {"family": "poly", "params": {"coeffs": [0.0, 0.0, 1.0]}},
+            "g": {"family": "identity"}}
+    sym = symbol_from_config(spec, grid=grid)
+    est, ref = refined_and_reference(sym, "cphivg", "u2", 1.5, ("power", 1.5), grid)
+    assert int(np.argmax(est.shell_max)) == len(grid.radii) - 1
+    assert abs(est.value - ref) <= 1e-12 * ref, (est.value, ref)

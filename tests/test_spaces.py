@@ -81,7 +81,7 @@ def test_weighted_sup_log_weight_vs_1d_oracle(grid):
 
 
 def test_sup_rejects_non_finite(grid):
-    def bad(z):
+    def bad(r, z):
         out = np.abs(z).astype(float)
         out[...] = np.nan
         return out
