@@ -31,7 +31,8 @@ from .essnorm import (EssNormEstimate, OperatorNotBoundedError, essential_norm)
 from .operators import (KINDS, SelfMapSymbol, apply_product, apply_ug, apply_vg,
                         product_second_derivative, symbol_from_config)
 from .series import TruncatedSeries
-from .spaces import DiskGrid, Weight, bloch_norm, monomial_norm, weighted_sup_norm, zygmund_norm
+from .spaces import (DiskGrid, Weight, bloch_norm, config_int, monomial_norm,
+                     weighted_sup_norm, zygmund_norm)
 from .testfns import verify_family_claims
 
 MAX_CHECKPOINT = 10 ** 7
@@ -96,12 +97,24 @@ def write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def write_csv(path: Path, header: list, rows) -> None:
+def write_csv(path: Path, header: list, rows=(), columns=None) -> None:
+    """A CSV of ``rows``, or the n-indexed table of ``columns``.
+
+    ``columns`` are equal-length float arrays, written as the rows
+    ``n, repr(col[n]), ...`` in one formatting pass. An int or a repr'd
+    float holds no comma, quote or line break, so csv.writer would quote
+    none of those fields: the bytes are the ones it writes for those rows.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if columns is None:
+            writer.writerows(rows)
+            return
+        line = ",".join(["{}"] + ["{!r}"] * len(columns)) + "\r\n"
+        fh.write("".join(map(line.format, range(len(columns[0])),
+                             *(c.tolist() for c in columns))))
 
 
 def criterion_report_dict(report: CriterionReport) -> dict:
@@ -179,9 +192,10 @@ def grid_from_args(args) -> DiskGrid:
 
 
 def check_operator_args(alphas, betas, n_seq: int) -> None:
-    """The one rule for operator arguments, from the criterion and essnorm
-    flags or from a sweep config, as config errors before any work: every
-    alpha and beta positive and finite, nseq at least 1."""
+    """The one rule for exponent arguments, from the criterion, essnorm,
+    norms, verify-testfns and lemma25 flags or from a sweep config, as
+    config errors before any work: every alpha and beta positive and
+    finite, nseq at least 1."""
     for name, value in [("alpha", a) for a in alphas] + [("beta", b) for b in betas]:
         if not (value > 0 and math.isfinite(value)):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
@@ -215,6 +229,20 @@ def _parse_floats(text: str) -> list:
 
 def _parse_ints(text: str) -> list:
     return [int(round(x)) for x in _parse_floats(text)]
+
+
+def _parse_alphas(text: str) -> list:
+    alphas = _parse_floats(text)
+    check_operator_args(alphas, [], 1)
+    return alphas
+
+
+def _parse_a_grid(text: str) -> list:
+    a_grid = _parse_floats(text)
+    for a in a_grid:
+        if not (0.0 < abs(a) < 1.0):
+            raise ConfigError(f"parameter a must satisfy 0 < |a| < 1, got {a!r}")
+    return a_grid
 
 
 # -- lemma25 -------------------------------------------------------------------
@@ -408,10 +436,8 @@ def run_norms(sym: SelfMapSymbol, alphas, grid: DiskGrid, out_dir: Path) -> dict
 
 def _write_condition_csvs(prefix: Path, quantities) -> None:
     for idx, q in enumerate(quantities, start=1):
-        scan = q.scan
-        rows = [[n, repr(float(scan.raw[n])), repr(float(scan.scaled[n]))]
-                for n in range(len(scan.raw))]
-        write_csv(Path(f"{prefix}_cond{idx}.csv"), ["n", "s_n", "scaled_s_n"], rows)
+        write_csv(Path(f"{prefix}_cond{idx}.csv"), ["n", "s_n", "scaled_s_n"],
+                  columns=(q.scan.raw, q.scan.scaled))
 
 
 def run_criterion(kind, sym, alpha, beta, grid, n_seq, out_dir: Path):
@@ -427,8 +453,8 @@ def run_essnorm(kind, sym, alpha, beta, grid, n_seq, out_dir: Path):
     stem = out_dir / f"essnorm_{kind}_alpha{alpha:g}_beta{beta:g}"
     write_json(Path(f"{stem}.json"), essnorm_dict(est))
     for idx, c in enumerate(est.conditions, start=1):
-        rows = [[n, repr(float(c.scan.scaled[n]))] for n in range(len(c.scan.scaled))]
-        write_csv(Path(f"{stem}_cond{idx}_sequence.csv"), ["n", "scaled_s_n"], rows)
+        write_csv(Path(f"{stem}_cond{idx}_sequence.csv"), ["n", "scaled_s_n"],
+                  columns=(c.scan.scaled,))
         brows = [[repr(e), repr(s)] for e, s in zip(c.boundary.eps, c.boundary.sups)]
         write_csv(Path(f"{stem}_cond{idx}_boundary.csv"), ["eps", "sup"], brows)
     return est
@@ -449,7 +475,7 @@ def _validate_sweep_config(cfg: dict) -> dict:
     for kind in merged["kinds"]:
         if kind not in KINDS:
             raise ConfigError(f"unknown operator kind {kind!r}")
-    check_operator_args(merged["alphas"], merged["betas"], int(merged["nseq"]))
+    check_operator_args(merged["alphas"], merged["betas"], config_int("nseq", merged["nseq"]))
     compact_tol = float(merged["compact_tol"])
     if not (compact_tol >= 0 and math.isfinite(compact_tol)):
         raise ConfigError(f"compact_tol must be finite and >= 0, got {compact_tol!r}")
@@ -474,7 +500,7 @@ def run_sweep(cfg: dict, out_dir: Path) -> list:
     try:
         cfg = _validate_sweep_config(cfg)
         grid = DiskGrid.from_config(cfg.get("grid", {}))
-        n_seq = int(cfg["nseq"])
+        n_seq = cfg["nseq"]
         compact_tol = float(cfg["compact_tol"])
         symbols = {}
         for pi, phi_spec in enumerate(cfg["phis"]):
@@ -591,7 +617,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         if args.command == "lemma25":
-            summary = run_lemma25(_parse_floats(args.alphas),
+            summary = run_lemma25(_parse_alphas(args.alphas),
                                   _parse_ints(args.checkpoints), out_dir)
             print(f"lemma25: wrote tables to {out_dir} "
                   f"(log fit a = {summary['log_fit']['a']:.4f})")
@@ -612,13 +638,13 @@ def main(argv=None) -> int:
 
         if args.command == "norms":
             sym = symbol_from_file(args, grid)
-            run_norms(sym, _parse_floats(args.alphas), grid, out_dir)
+            run_norms(sym, _parse_alphas(args.alphas), grid, out_dir)
             print(f"norms: wrote {out_dir / 'norms.json'}")
             return 0
 
         if args.command == "verify-testfns":
-            report = verify_family_claims(a_grid=_parse_floats(args.a_grid),
-                                          alpha_grid=_parse_floats(args.alphas),
+            report = verify_family_claims(a_grid=_parse_a_grid(args.a_grid),
+                                          alpha_grid=_parse_alphas(args.alphas),
                                           grid=grid)
             write_json(out_dir / "testfn_claims.json", report)
             mismatches = sum(1 for fam in report.values()

@@ -11,6 +11,7 @@ around the coarse argmax. Monomial norms additionally have a closed form
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,14 @@ class Weight:
         return "Weight.logarithmic()"
 
 
+def config_int(key: str, value) -> int:
+    """A config entry that must be an integer: a JSON integer, never a bool,
+    a float or a string (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 class DiskGrid:
     """Radial/angular sampling of the disk with a geometric boundary ladder.
 
@@ -149,7 +158,7 @@ class DiskGrid:
         unknown = sorted(set(cfg) - set(cls.CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown grid keys: {', '.join(unknown)}")
-        return cls(**{key: int(cfg[key]) for key in cls.CONFIG_KEYS if key in cfg})
+        return cls(**{key: config_int(key, cfg[key]) for key in cls.CONFIG_KEYS if key in cfg})
 
     def __repr__(self) -> str:
         return (f"DiskGrid(radii={len(self.radii)}, angles={self.n_angles}, "

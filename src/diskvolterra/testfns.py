@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .series import N_WORK, TruncatedSeries
-from .spaces import DiskGrid, Weight, default_grid, weighted_sup_norm
+from .spaces import DiskGrid, Weight, default_grid, grid_supremum, shell_maxima
 
 FAMILY_KINDS = ("f_a", "h_a", "g_a", "k_a", "t_a_log",
                 "h_n", "f_n", "g_n", "O_n", "t_n_kernel")
@@ -32,14 +32,10 @@ _NORM_SPACE = {"k_a": 1.0, "h_n": 1.0, "f_n": 1.0, "g_n": 1.0,
 CLAIM_TOL = 1e-8
 
 
-def _log1_inv(w):
-    """log(1/(1-w)), principal branch."""
-    return -np.log(1.0 - w)
-
-
-def _log2_inv(w):
-    """log(2/(1-w)), principal branch."""
-    return np.log(2.0) - np.log(1.0 - w)
+def log_kernel(a: complex, z):
+    """L = log(1 - conj(a) z), principal branch: the one log every family
+    is built from."""
+    return np.log(1.0 - complex(a).conjugate() * np.asarray(z, dtype=complex))
 
 
 class TestFamily:
@@ -68,21 +64,27 @@ class TestFamily:
     def __call__(self, z):
         return self.eval(z, 0)
 
-    def eval(self, z, order: int = 0):
-        """Value (order 0) or derivative (order 1 or 2) at z, vectorized."""
+    def eval(self, z, order: int = 0, L=None):
+        """Value (order 0) or derivative (order 1 or 2) at z, vectorized.
+
+        ``L`` is ``log_kernel(a, z)`` at this family's a and the same z,
+        taken here when not given. Every family is built from it and it
+        depends on a alone, so a caller evaluating several families with one
+        a at one z takes it once and passes it: the values are the same bits
+        either way.
+        """
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         z = np.asarray(z, dtype=complex)
-        out = getattr(self, "_" + self.kind)(z, order)
+        L = log_kernel(self.a, z) if L is None else L
+        out = getattr(self, "_" + self.kind)(z, order, L)
         return complex(out) if out.ndim == 0 else out
 
     # -- power-kernel families ----------------------------------------------
-    # w**e is exp(e L) on the principal branch, L = log(1 - conj(a) z) taken
-    # once per evaluation
+    # w**e is exp(e L) on the principal branch
 
-    def _f_a(self, z, order, L=None):
+    def _f_a(self, z, order, L):
         ab, s, al = self.abar, self.s, self.alpha
-        L = np.log(1.0 - ab * z) if L is None else L
         if order == 0:
             return (s * s * np.exp(-al * L) - s * np.exp((1.0 - al) * L)) / ab
         if order == 1:
@@ -90,9 +92,8 @@ class TestFamily:
         return ab * (s * s * al * (al + 1.0) * np.exp((-al - 2.0) * L)
                      - s * (al - 1.0) * al * np.exp((-al - 1.0) * L))
 
-    def _h_a(self, z, order, L=None):
+    def _h_a(self, z, order, L):
         ab, s, al = self.abar, self.s, self.alpha
-        L = np.log(1.0 - ab * z) if L is None else L
         if order == 0:
             if al == 1.0:
                 return -s * L / (ab * ab)
@@ -101,13 +102,11 @@ class TestFamily:
             return (s / ab) * np.exp(-al * L)
         return s * al * np.exp((-al - 1.0) * L)
 
-    def _g_a(self, z, order):
-        L = np.log(1.0 - self.abar * z)  # shared by both parts
+    def _g_a(self, z, order, L):
         return self._f_a(z, order, L) - self._h_a(z, order, L)
 
-    def _t_n_kernel(self, z, order):
+    def _t_n_kernel(self, z, order, L):
         ab, s, al = self.abar, self.s, self.alpha
-        L = np.log(1.0 - ab * z)
         if order == 0:
             return s * s * np.exp(-al * L)
         if order == 1:
@@ -115,32 +114,33 @@ class TestFamily:
         return s * s * al * (al + 1.0) * ab * ab * np.exp((-al - 2.0) * L)
 
     # -- log-kernel families --------------------------------------------------
+    # log(1/(1-w)) is -L and log(2/(1-w)) is log 2 - L, w = conj(a) z
 
-    def _k_a(self, z, order):
+    def _k_a(self, z, order, L):
         ab = self.abar
         fac = np.log(1.0 / (1.0 - abs(self.a)))
         w = ab * z
-        L = _log1_inv(w)
+        L = -L
         if order == 0:
             return (w - 1.0) * ((1.0 + L) ** 2 + 1.0) / (ab * fac)
         if order == 1:
             return L * L / fac
         return ab * 2.0 * L / ((1.0 - w) * fac)
 
-    def _t_a_log(self, z, order):
+    def _t_a_log(self, z, order, L):
         ab = self.abar
         w = 1.0 - ab * z
         if order == 0:
-            return np.log(2.0) - np.log(w) + 0.0 * z
+            return np.log(2.0) - L + 0.0 * z
         if order == 1:
             return ab / w
         return ab * ab / (w * w)
 
-    def _h_n(self, z, order):
+    def _h_n(self, z, order, L):
         ab = self.abar
         lam = np.log(2.0 / self.s)
         w = ab * z
-        M = _log2_inv(w)
+        M = np.log(2.0) - L
         if order == 0:
             hval = (w - 1.0) * ((1.0 + M) ** 2 + 1.0)
             f3 = (w - 1.0) * (M ** 3 + 3.0 * M ** 2 + 6.0 * M + 6.0)
@@ -151,11 +151,11 @@ class TestFamily:
             return M * M / lam - M ** 3 / (lam * lam)
         return (ab * 2.0 * M / (1.0 - w)) / lam - (ab * 3.0 * M * M / (1.0 - w)) / (lam * lam)
 
-    def _f_n(self, z, order):
+    def _f_n(self, z, order, L):
         a, ab = self.a, self.abar
         lam = np.log(2.0 / self.s)
         w = ab * z
-        M = _log2_inv(w)
+        M = np.log(2.0) - L
         if order == 0:
             # divisor is a (not conj a), exactly as the source prints it
             return (w - 1.0) * ((1.0 + M) ** 2 + 1.0) / (a * lam)
@@ -163,11 +163,11 @@ class TestFamily:
             return ab * M * M / (a * lam)
         return ab * ab * 2.0 * M / ((1.0 - w) * a * lam)
 
-    def _g_n(self, z, order):
+    def _g_n(self, z, order, L):
         a, ab = self.a, self.abar
         ell = np.log(1.0 / self.s)
         w = ab * z
-        L = _log1_inv(w)
+        L = -L
         if order == 0:
             ell_term = (self.mod_sq - 1.0) * ((1.0 + ell) ** 2 + 1.0) / (a * ell)
             return (w - 1.0) * ((1.0 + L) ** 2 + 1.0) / (a * ell) - ell_term
@@ -175,11 +175,11 @@ class TestFamily:
             return ab * L * L / (a * ell)
         return ab * ab * 2.0 * L / ((1.0 - w) * a * ell)
 
-    def _O_n(self, z, order):
+    def _O_n(self, z, order, L):
         ab = self.abar
         lam = np.log(2.0 / self.s)
         w = ab * z
-        M = _log2_inv(w)
+        M = np.log(2.0) - L
         if order == 0:
             return (1.0 + M * M) / lam
         if order == 1:
@@ -188,10 +188,18 @@ class TestFamily:
 
 
 def family_zygmund_norm(fam: TestFamily, alpha: float,
-                        grid: DiskGrid | None = None) -> float:
-    """Zygmund-type norm of a family member from its closed-form derivatives."""
+                        grid: DiskGrid | None = None, L=None) -> float:
+    """Zygmund-type norm of a family member from its closed-form derivatives.
+
+    The sup of (1-r^2)^alpha |fam''| is ``weighted_sup_norm``'s: its coarse
+    pass, weight(grid radii) * |fam''(grid points)|, is taken here with
+    ``L = log_kernel(fam.a, grid.points)`` when given (else fam's own), and
+    the zoom around it is ``grid_supremum``'s.
+    """
     grid = grid or default_grid()
-    sup = weighted_sup_norm(lambda z: fam.eval(z, 2), Weight.standard(alpha), grid)
+    weight = Weight.standard(alpha)
+    coarse = shell_maxima(weight(grid.radii[:, None]) * np.abs(fam.eval(grid.points, 2, L)))
+    sup = grid_supremum(lambda r, z: weight(r) * np.abs(fam.eval(z, 2)), grid, coarse)
     return abs(fam.eval(0.0)) + abs(fam.eval(0.0, 1)) + sup.value
 
 
@@ -273,37 +281,53 @@ def verify_family_claims(a_grid=None, alpha_grid=None, grid: DiskGrid | None = N
     Returns, per family kind, the list of claim records over the parameter
     grid and the observed Zygmund-type norms over the grid (families with a
     claimed uniform bound should show a modest max/min ratio and no blowup
-    as |a| grows). Mismatches are reported, never repaired.
+    as |a| grows). A family with no admissible a reports no claims and no
+    norm blocks. Mismatches are reported, never repaired.
+
+    The norms are computed with a as the outer loop: every family shares
+    one grid log ``log_kernel(a, grid.points)``, taken once per a and
+    dropped before the next.
     """
     grid = grid or default_grid()
     a_grid = [0.6, 0.7, 0.8, 0.9, 0.95, 0.99] if a_grid is None else list(a_grid)
     alpha_grid = [0.5, 1.0, 1.5, 2.0] if alpha_grid is None else list(alpha_grid)
     kinds = FAMILY_KINDS if kinds is None else kinds
+    alphas = {kind: alpha_grid if kind in _NEEDS_ALPHA else [None] for kind in kinds}
+
+    def admits(kind, a):
+        return not (kind in _NEEDS_OUTER_HALF and abs(a) <= 0.5)
+
+    def norm_alpha(kind, alpha):
+        return alpha if alpha is not None else _NORM_SPACE.get(kind, 1.0)
+
+    norm_of = {}
+    for i, a in enumerate(a_grid):
+        L = log_kernel(a, grid.points)
+        for kind in kinds:
+            if admits(kind, a):
+                for j, alpha in enumerate(alphas[kind]):
+                    norm_of[kind, j, i] = family_zygmund_norm(
+                        TestFamily(kind, a, alpha), norm_alpha(kind, alpha), grid, L)
+        del L
 
     report = {}
     for kind in kinds:
-        alphas = alpha_grid if kind in _NEEDS_ALPHA else [None]
+        a_ok = [(i, a) for i, a in enumerate(a_grid) if admits(kind, a)]
         claims = []
         norm_blocks = []
-        for alpha in alphas:
-            for a in a_grid:
-                if kind in _NEEDS_OUTER_HALF and abs(a) <= 0.5:
-                    continue
+        for j, alpha in enumerate(alphas[kind]):
+            for _, a in a_ok:
                 for entry in _pinned_claims(kind, a, alpha):
                     entry["a"] = complex(a)
                     if alpha is not None:
                         entry["alpha"] = alpha
                     claims.append(entry)
-            norm_alpha = alpha if alpha is not None else _NORM_SPACE.get(kind, 1.0)
-            norms = {}
-            for a in a_grid:
-                if kind in _NEEDS_OUTER_HALF and abs(a) <= 0.5:
-                    continue
-                fam = TestFamily(kind, a, alpha)
-                norms[float(abs(a))] = family_zygmund_norm(fam, norm_alpha, grid)
+            if not a_ok:
+                continue
+            norms = {float(abs(a)): norm_of[kind, j, i] for i, a in a_ok}
             vals = list(norms.values())
             norm_blocks.append({
-                "alpha": float(norm_alpha),
+                "alpha": float(norm_alpha(kind, alpha)),
                 "norms": norms,
                 "max": max(vals),
                 "min": min(vals),

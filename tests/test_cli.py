@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from diskvolterra.cli import (ConfigError, lemma25_log_fit, main, run_identity_suite,
-                              run_lemma25, run_sweep)
+                              run_lemma25, run_sweep, write_csv)
 
 
 def write_symbols(tmp_path, phi=None, g=None):
@@ -229,6 +232,12 @@ def test_sweep_validation(tmp_path):
     pytest.param({"compact_tol": -1e-3}, [], id="compact-tol-negative"),
     # nothing read the seed key, so it is gone like any unknown key
     pytest.param({"seed": 42}, [], id="seed-key"),
+    # integer entries take JSON integers only: int() once cut these short
+    pytest.param({"nseq": 64.7}, [], id="nseq-float"),
+    pytest.param({"nseq": "64"}, [], id="nseq-string"),
+    pytest.param({"nseq": True}, [], id="nseq-bool"),
+    pytest.param({"grid": {"angles": 64.9}}, [], id="grid-angles-float"),
+    pytest.param({"grid": {"j_max": True}}, [], id="grid-jmax-bool"),
 ])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -287,3 +296,55 @@ def test_sweep_cli_with_config_file(tmp_path):
     rc = main(["sweep", "--config", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "out2")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command,flags", [
+    pytest.param("norms", ["--alphas", "-1"], id="norms-alpha-negative"),
+    pytest.param("norms", ["--alphas", "1,inf"], id="norms-alpha-infinite"),
+    pytest.param("verify-testfns", ["--alphas", "-1"], id="testfns-alpha-negative"),
+    pytest.param("verify-testfns", ["--alphas", "inf"], id="testfns-alpha-infinite"),
+    pytest.param("verify-testfns", ["--a-grid", "1.5"], id="testfns-a-outside-disk"),
+    pytest.param("verify-testfns", ["--a-grid", "0.8,0"], id="testfns-a-zero"),
+    pytest.param("verify-testfns", ["--a-grid", "nan"], id="testfns-a-nan"),
+    pytest.param("lemma25", ["--alphas", "-1"], id="lemma25-alpha-negative"),
+    pytest.param("lemma25", ["--alphas", "nan"], id="lemma25-alpha-nan"),
+])
+def test_alpha_and_a_lists_follow_one_rule(tmp_path, capsys, command, flags):
+    # every alpha positive and finite, every a with 0 < |a| < 1, as for the
+    # operator flags; these once exited 1 with a traceback, or wrote inf blocks
+    extra = {"norms": ["--config", write_symbols(tmp_path), *SMALL_GRID],
+             "verify-testfns": SMALL_GRID, "lemma25": ["--checkpoints", "10"]}[command]
+    rc = main([command, "--out", str(tmp_path / "out"), *extra, *flags])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_verify_testfns_with_only_inner_parameters(tmp_path):
+    # no a > 1/2: the families that need one report nothing, the others as usual
+    rc = main(["verify-testfns", "--out", str(tmp_path), "--a-grid", "0.3",
+               "--alphas", "1", *SMALL_GRID])
+    assert rc == 0
+    report = json.loads((tmp_path / "testfn_claims.json").read_text())
+    assert report["h_n"] == {"claims": [], "norm_bound": []}
+    assert report["f_a"]["claims"] and report["f_a"]["norm_bound"][0]["norms"]["0.3"] > 0
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e+16, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("raw,scaled", [
+    pytest.param(EDGE_FLOATS, EDGE_FLOATS[::-1], id="edge-values"),
+    pytest.param([0.25, 3.0], [0.5, 1.0 / 3.0], id="n_seq-1"),
+])
+def test_per_n_csv_bytes_are_csv_writers(tmp_path, raw, scaled):
+    raw, scaled = np.array(raw), np.array(scaled)
+    for header, columns in ((["n", "s_n", "scaled_s_n"], (raw, scaled)),
+                            (["n", "scaled_s_n"], (scaled,))):
+        rows = [[n, *(repr(float(c[n])) for c in columns)] for n in range(len(raw))]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(rows)
+        path = tmp_path / f"{len(columns)}.csv"
+        write_csv(path, header, columns=columns)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

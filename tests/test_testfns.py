@@ -5,7 +5,7 @@ import pytest
 
 import diskvolterra as dv
 from diskvolterra import TestFamily
-from diskvolterra.testfns import FAMILY_KINDS, _NEEDS_ALPHA
+from diskvolterra.testfns import FAMILY_KINDS, _NEEDS_ALPHA, _NEEDS_OUTER_HALF
 
 
 def make(kind, a=0.8, alpha=1.5):
@@ -126,3 +126,63 @@ def test_family_zygmund_norm_matches_series_route(grid):
     closed = dv.family_zygmund_norm(fam, 2.0, grid)
     series_route = dv.zygmund_norm(fitted, 2.0, grid)
     assert closed == pytest.approx(series_route, rel=1e-4)
+
+
+SMALL = dv.DiskGrid(radii_count=8, angles=64, j_max=16)
+
+
+def test_eval_with_a_shared_log_gives_the_same_bits():
+    for kind in FAMILY_KINDS:
+        fam = make(kind, a=0.6 + 0.5j)
+        L = dv.testfns.log_kernel(fam.a, SMALL.points)
+        for order in (0, 1, 2):
+            own = fam.eval(SMALL.points, order)
+            shared = fam.eval(SMALL.points, order, L)
+            assert np.array_equal(own, shared, equal_nan=True), (kind, order)
+
+
+def test_verify_norms_equal_each_familys_own_norm():
+    # the report takes one grid log per a for all families; each norm must
+    # be the one the family computes with its own log, bit for bit
+    a_grid, alpha_grid = [0.7, 0.5 + 0.6j], [0.5, 2.0]
+    report = dv.verify_family_claims(a_grid=a_grid, alpha_grid=alpha_grid, grid=SMALL)
+    for kind in FAMILY_KINDS:
+        alphas = alpha_grid if kind in _NEEDS_ALPHA else [None]
+        blocks = report[kind]["norm_bound"]
+        assert len(blocks) == len(alphas)
+        for alpha, block in zip(alphas, blocks):
+            assert list(block["norms"]) == [float(abs(a)) for a in a_grid]
+            for a in a_grid:
+                own = dv.family_zygmund_norm(TestFamily(kind, a, alpha), block["alpha"], SMALL)
+                assert block["norms"][float(abs(a))] == own, (kind, a, alpha)
+
+
+class _CountingNumpy:
+    """numpy, with the calls of log on a grid-sized array counted."""
+
+    def __init__(self, size):
+        self.size, self.grid_logs = size, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x, *args, **kwargs):
+        if np.size(x) == self.size:
+            self.grid_logs += 1
+        return np.log(x, *args, **kwargs)
+
+
+def test_verify_takes_one_grid_log_per_a(monkeypatch):
+    counting = _CountingNumpy(SMALL.points.size)
+    monkeypatch.setattr(dv.testfns, "np", counting)
+    dv.verify_family_claims(a_grid=[0.7, 0.9], alpha_grid=[1.0, 2.0], grid=SMALL)
+    assert counting.grid_logs == 2
+
+
+def test_family_without_an_admissible_a_reports_nothing():
+    report = dv.verify_family_claims(a_grid=[0.3], alpha_grid=[1.0], grid=SMALL)
+    for kind in FAMILY_KINDS:
+        if kind in _NEEDS_OUTER_HALF:
+            assert report[kind] == {"claims": [], "norm_bound": []}, kind
+        else:
+            assert [list(b["norms"]) for b in report[kind]["norm_bound"]] == [[0.3]], kind
