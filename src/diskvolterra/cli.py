@@ -21,12 +21,13 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriterionReport, check_boundedness
+from .criteria import CriterionReport, cell_sups, check_boundedness, take_sups
 from .essnorm import (EssNormEstimate, OperatorNotBoundedError, essential_norm)
 from .operators import (KINDS, SelfMapSymbol, apply_product, apply_ug, apply_vg,
                         product_second_derivative, symbol_from_config)
@@ -191,13 +192,18 @@ def grid_from_args(args) -> DiskGrid:
         raise ConfigError(str(exc)) from exc
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_operator_args(alphas, betas, n_seq: int) -> None:
     """The one rule for exponent arguments, from the criterion, essnorm,
     norms, verify-testfns and lemma25 flags or from a sweep config, as
-    config errors before any work: every alpha and beta positive and
-    finite, nseq at least 1."""
+    config errors before any work: every alpha and beta a positive finite
+    number, never a bool, and nseq at least 1."""
     for name, value in [("alpha", a) for a in alphas] + [("beta", b) for b in betas]:
-        if not (value > 0 and math.isfinite(value)):
+        if not (is_number(value) and value > 0 and math.isfinite(value)):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if n_seq < 1:
         raise ConfigError(f"nseq must be >= 1, got {n_seq}")
@@ -228,7 +234,15 @@ def _parse_floats(text: str) -> list:
 
 
 def _parse_ints(text: str) -> list:
-    return [int(round(x)) for x in _parse_floats(text)]
+    """Comma-separated integers, each as ``int`` parses it: the rule of
+    --nseq, so 10.7 or 1e1 is an error, never rounded."""
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise ConfigError("empty integer list")
+    return values
 
 
 def _parse_alphas(text: str) -> list:
@@ -476,8 +490,8 @@ def _validate_sweep_config(cfg: dict) -> dict:
         if kind not in KINDS:
             raise ConfigError(f"unknown operator kind {kind!r}")
     check_operator_args(merged["alphas"], merged["betas"], config_int("nseq", merged["nseq"]))
-    compact_tol = float(merged["compact_tol"])
-    if not (compact_tol >= 0 and math.isfinite(compact_tol)):
+    compact_tol = merged["compact_tol"]
+    if not (is_number(compact_tol) and compact_tol >= 0 and math.isfinite(compact_tol)):
         raise ConfigError(f"compact_tol must be finite and >= 0, got {compact_tol!r}")
     return merged
 
@@ -516,6 +530,9 @@ def run_sweep(cfg: dict, out_dir: Path) -> list:
     for pi, phi_spec in enumerate(cfg["phis"]):
         for gi, g_spec in enumerate(cfg["gs"]):
             sym = symbols[(pi, gi)]
+            take_sups(sym, [request for kind in cfg["kinds"] for alpha in cfg["alphas"]
+                            for beta in cfg["betas"]
+                            for request in cell_sups(kind, sym, alpha, beta)], grid)
             for kind in cfg["kinds"]:
                 for alpha in cfg["alphas"]:
                     for beta in cfg["betas"]:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .operators import (KINDS, V_KINDS, GridContext, SelfMapSymbol, SymbolValues,
                         symbol_weights)
-from .spaces import (DiskGrid, SupEstimate, Weight, default_grid, grid_supremum,
-                     one_minus_sq, shell_maxima)
+from .spaces import (DiskGrid, NonFiniteValueError, SupEstimate, Weight, default_grid,
+                     one_minus_sq, shell_maxima, zoom_suprema)
 
 #: sequence divergence evidence: >= this growth across the trailing window
 SEQUENCE_GROWTH_RATIO = 1.10
@@ -216,13 +216,42 @@ def boundary_factor(abs_phi, form: tuple):
 def expression(values: SymbolValues, u, beta: float, form: tuple):
     """(1-|z|^2)^beta |u(z)| F(|phi(z)|) with F ``boundary_factor`` and the
     weight ``Weight.standard(beta)`` at the exact radii ``values.radius``,
-    over a value provider: the points of a zoom patch. F is computed into
-    the output buffer and multiplied by (weight |u|). A grid context has
-    the same attributes, so this is also its full table; the criteria read
-    only ``table_maxima`` of the grid."""
-    abs_u = values.abs_u(u)  # first, as in raw_sequence
-    out = boundary_factor(values.abs_phi, form)
-    out *= Weight.standard(beta)(values.radius) * abs_u
+    over a value provider: the batch of one of ``stacked_expression``. A
+    grid context has the same attributes, so this is also its full table;
+    the criteria read only ``table_maxima`` of the grid."""
+    return stacked_expression(values, [(u, beta, form)])
+
+
+def _by_request(requests: list, field: int, table):
+    """One array whose row k is row k of ``table(value, pick)``, value the
+    entry ``field`` of ``requests[k]``. The table is taken once per distinct
+    value, pick(a) giving the rows of a that hold it; when one value holds
+    every request, the result is the table over all of a."""
+    rows: dict = {}
+    for k, request in enumerate(requests):
+        rows.setdefault(request[field], []).append(k)
+    if len(rows) == 1:
+        return table(next(iter(rows)), lambda a: a)
+    out = None
+    for value, ks in rows.items():
+        part = table(value, lambda a: a[ks])
+        if out is None:
+            out = np.empty((len(requests),) + part.shape[1:])
+        out[ks] = part
+    return out
+
+
+def stacked_expression(values, requests: list):
+    """``expression`` of the request (u, beta, form) ``requests[k]`` at the
+    points ``values.z[k]``, for each k of the provider's leading axis. |u|
+    is taken once per distinct weight, F(|phi|) once per form and the
+    radial weight once per beta, each with its scalar exponent, since numpy
+    takes some exponents (0.5, 2) by other routines; then F (w |u|) is
+    multiplied per element."""
+    abs_u = _by_request(requests, 0, lambda u, pick: pick(values.abs_u(u)))  # first, as in raw_sequence
+    out = _by_request(requests, 2, lambda form, pick: boundary_factor(pick(values.abs_phi), form))
+    out *= _by_request(requests, 1, lambda beta, pick: Weight.standard(beta)(
+        pick(values.radius))) * abs_u
     return out
 
 
@@ -283,22 +312,62 @@ def table_maxima(ctx: GridContext, u, form: tuple) -> tuple:
     return ctx.cached(("maxima", u.label, form), reduce)
 
 
-def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
-                       grid: DiskGrid | None = None) -> SupEstimate:
-    """sup over the disk of ``expression``: the coarse pass reads the shell
-    maxima w * row_max of ``table_maxima``, w the weight at the grid radii,
-    the zoom evaluates ``expression`` on small patches at their exact radii,
-    and the context keeps the estimate. It carries divergence evidence when
-    the sup sits on the outermost shells and still grows there."""
+def pointwise_suprema(sym: SelfMapSymbol, requests: list,
+                      grid: DiskGrid | None = None) -> list:
+    """The sup over the disk of ``expression`` for each request
+    (u, beta, form), all refined in one ``zoom_suprema`` loop.
+
+    Each coarse pass reads the shell maxima w * row_max of ``table_maxima``,
+    w the weight at the grid radii; each zoom level evaluates the patches
+    of every sup still zooming through one ``stacked_expression`` over one
+    ``SymbolValues``, at their exact radii. The context keeps each estimate
+    under ("sup", label, beta, form), and a request it already holds is
+    not taken again. An estimate carries divergence evidence when the sup
+    sits on the outermost shells and still grows there. A non-finite value
+    raises NonFiniteValueError and leaves no estimate of the batch kept.
+    """
     grid = grid or default_grid()
     ctx = sym.context(grid)
+    keys = [("sup", u.label, beta, form) for u, beta, form in requests]
+    todo = {key: request for key, request in zip(keys, requests) if key not in ctx}
+    if todo:
+        batch = list(todo.values())
+        coarse = []
+        for u, beta, form in batch:
+            row_max, row_col, _ = table_maxima(ctx, u, form)
+            coarse.append((Weight.standard(beta)(grid.radii) * row_max, row_col))
+        todo = dict(zip(todo, zoom_suprema(
+            lambda rows, r, z: stacked_expression(SymbolValues(sym, z, r),
+                                                  [batch[k] for k in rows]),
+            grid, coarse)))
+    return [ctx.cached(key, lambda key=key: todo[key]) for key in keys]
 
-    def estimate():
-        row_max, row_col, _ = table_maxima(ctx, u, form)
-        return grid_supremum(
-            lambda r, z: expression(SymbolValues(sym, z, r), u, beta, form), grid,
-            coarse=(Weight.standard(beta)(grid.radii) * row_max, row_col))
-    return ctx.cached(("sup", u.label, beta, form), estimate)
+
+def pointwise_quantity(u, sym: SelfMapSymbol, beta: float, form: tuple,
+                       grid: DiskGrid | None = None) -> SupEstimate:
+    """sup over the disk of ``expression``: the batch of one of
+    ``pointwise_suprema``."""
+    return pointwise_suprema(sym, [(u, beta, form)], grid)[0]
+
+
+def cell_sups(kind: str, sym: SelfMapSymbol, alpha: float, beta: float) -> list:
+    """The requests (u, beta, form) of the pointwise sups that
+    ``check_boundedness`` reads for one cell, in its order: the memberships
+    (form F = 1), then the conditions."""
+    mem_keys, cond_specs = conditions_for(kind, alpha)
+    weights = symbol_weights(kind, sym)
+    return ([(weights[key], beta, ("power", 0.0)) for key in mem_keys]
+            + [(weights[key], beta, boundary_form(scale)) for key, scale in cond_specs])
+
+
+def take_sups(sym: SelfMapSymbol, requests: list, grid: DiskGrid | None = None) -> None:
+    """Have the context keep every requested sup, refined in one batch. A
+    non-finite value keeps none: each sup is then taken alone where it is
+    read, and fails there as it does alone."""
+    try:
+        pointwise_suprema(sym, requests, grid)
+    except NonFiniteValueError:
+        pass
 
 
 def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple) -> tuple:
@@ -374,6 +443,7 @@ def check_boundedness(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     mem_keys, cond_specs = conditions_for(kind, alpha)
     weights = symbol_weights(kind, sym)
     v_beta = Weight.standard(beta)
+    take_sups(sym, cell_sups(kind, sym, alpha, beta), grid)
 
     memberships = []
     for key in mem_keys:

@@ -82,7 +82,7 @@ def boundary_limsup(u, sym: SelfMapSymbol, beta: float, form: tuple,
 
     The sups are ``criteria.boundary_ladder``, read from the row and
     segment maxima the grid context keeps per (u, form): no table is built
-    per beta, and a (u, form) whose sup ``pointwise_quantity`` has taken
+    per beta, and a (u, form) whose sup ``pointwise_suprema`` has taken
     needs none at all. Empty rungs (the compact case ||phi|| < 1)
     contribute 0. The estimate is the max over the last three nonempty
     rungs, annotated with their trend.

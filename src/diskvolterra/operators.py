@@ -104,6 +104,9 @@ class GridContext:
         """A transient provider over the grid's points and radii."""
         return SymbolValues(self._sym, self.z, self.radius)
 
+    def __contains__(self, key) -> bool:
+        return key in self._memo
+
     def cached(self, key, compute):
         """compute() on the first use of ``key``, then kept in the memo."""
         if key not in self._memo:

@@ -3,8 +3,8 @@
 The supremum of a smooth boundary-vanishing quantity over the disk is
 estimated on a radial/angular grid whose radii follow a geometric ladder
 accumulating at the boundary, then polished by a zoom: small (r, theta)
-patches, each evaluated in one call, recentred on their max and shrunk
-around the coarse argmax. Monomial norms additionally have a closed form
+patches around the coarse argmax, recentred on their max and shrunk; the
+zooms of many sups run in one loop, with one call per level. Monomial norms additionally have a closed form
 (standard weights) or a dedicated capless 1-D search (logarithmic weight).
 """
 
@@ -210,54 +210,77 @@ def shell_maxima(vals: np.ndarray) -> tuple:
 
 
 def grid_supremum(magnitude, grid: DiskGrid, coarse: tuple | None = None) -> SupEstimate:
-    """Max of a nonnegative function over the grid, then a zoom around it.
+    """Max of a nonnegative function over the grid, then a zoom around it:
+    the batch of one of ``zoom_suprema``.
 
     ``magnitude(r, z)`` maps points z to nonnegative reals, with r their
     exact radii as a column broadcasting against z: a radial weight reads
     r, never |z|, whose rounding costs up to 2.4e-4 relative at the cap.
-    The coarse pass is the pair (shell_max, shell_col): per grid radius,
-    the max over its circle and the first angle index holding it. It is
-    ``coarse`` when given, else ``shell_maxima`` of the values at the grid.
-    The zoom evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta) patches in one
-    call each: the first spans the grid samples next to the first radius
-    holding the largest shell max, at its shell_col; each next one the
-    samples next to the last patch's max, with r clipped to [0, r_max],
-    until the spacing is below ZOOM_STOP. The estimate is the largest value
-    seen, so never below the grid max. Non-finite values raise
+    The coarse pass is ``coarse`` when given, else ``shell_maxima`` of the
+    values at the grid; each zoom level calls ``magnitude`` once, on one
+    ZOOM_PATCH x ZOOM_PATCH patch. Non-finite values raise
     NonFiniteValueError.
     """
-    shell_max, shell_col = coarse or shell_maxima(
-        magnitude(grid.radii[:, None], grid.points))
-    i = int(np.argmax(shell_max))
-    j = int(shell_col[i])
-    best_val = float(shell_max[i])
-    diverging = _shell_divergence(shell_max, i)
+    coarse = coarse or shell_maxima(magnitude(grid.radii[:, None], grid.points))
+    return zoom_suprema(lambda rows, r, z: magnitude(r[0], z[0])[None], grid, [coarse])[0]
 
-    r_best, th_best = float(grid.radii[i]), float(grid.angles[j])
+
+def zoom_suprema(magnitude, grid: DiskGrid, coarse: list) -> list:
+    """One refined ``SupEstimate`` per coarse pass of ``coarse``, all zoomed
+    in one loop.
+
+    A coarse pass is the pair (shell_max, shell_col): per grid radius, the
+    max over its circle and the first angle index holding it. Each sup's
+    zoom evaluates ZOOM_PATCH x ZOOM_PATCH (r, theta) patches: the first
+    spans the grid samples next to the first radius holding the largest
+    shell max, at its shell_col; each next one the samples next to the
+    first flat max of the last patch, with r clipped to [0, r_max]. A sup
+    leaves the loop after the level whose spacing is below ZOOM_STOP; its
+    estimate is the largest value seen, so never below its grid max.
+
+    Each level makes one call ``magnitude(rows, r, z)`` on the patches of
+    the sups still zooming, stacked: z of shape (k, P, P), r their exact
+    radii of shape (k, P, 1), ``rows`` the indices into ``coarse`` of the
+    k sups. A sup's patches, levels and estimate are those it has when
+    zoomed alone. A non-finite value raises NonFiniteValueError.
+    """
     half = (ZOOM_PATCH - 1) // 2
     steps = np.arange(-half, half + 1)
-    r_lo = grid.radii[max(i - 1, 0)]
-    r_hi = grid.radii[min(i + 1, len(grid.radii) - 1)]
+    shell_i = np.array([int(np.argmax(shell_max)) for shell_max, _ in coarse], dtype=np.intp)
+    best = np.array([shell_max[i] for (shell_max, _), i in zip(coarse, shell_i)], dtype=float)
+    th_mid = grid.angles[[int(col[i]) for (_, col), i in zip(coarse, shell_i)]]
+    r_lo = grid.radii[np.maximum(shell_i - 1, 0)]
+    r_hi = grid.radii[np.minimum(shell_i + 1, len(grid.radii) - 1)]
     r_mid, dr = (r_lo + r_hi) / 2.0, (r_hi - r_lo) / (2 * half)
-    th_mid, dt = th_best, 2.0 * np.pi / grid.n_angles / half
-    while True:
-        rs = np.clip(r_mid + dr * steps, 0.0, grid.r_max)
-        ths = th_mid + dt * steps
-        patch = magnitude(rs[:, None], rs[:, None] * np.exp(1j * ths)[None, :])
+    dt = np.full(len(coarse), 2.0 * np.pi / grid.n_angles / half)
+    r_best, th_best = grid.radii[shell_i], th_mid.copy()
+    rows = np.arange(len(coarse))
+    while rows.size:
+        rs = np.clip(r_mid[rows, None] + dr[rows, None] * steps, 0.0, grid.r_max)
+        ths = th_mid[rows, None] + dt[rows, None] * steps
+        patch = magnitude(rows, rs[:, :, None],
+                          rs[:, :, None] * np.exp(1j * ths)[:, None, :])
         if not np.all(np.isfinite(patch)):
             raise NonFiniteValueError("non-finite value in supremum zoom")
-        a, b = np.unravel_index(int(np.argmax(patch)), patch.shape)
-        if patch[a, b] > best_val:
-            best_val, r_best, th_best = float(patch[a, b]), float(rs[a]), float(ths[b])
-        if max(dr, dt) < ZOOM_STOP:
-            break
-        r_mid, th_mid = rs[a], ths[b]
-        dr, dt = dr / half, dt / half
-    return SupEstimate(value=best_val,
-                       argmax=r_best * complex(math.cos(th_best), math.sin(th_best)),
-                       refined=True,
-                       diverging=diverging,
-                       shell_max=shell_max)
+        k = np.arange(len(rows))
+        flat = patch.reshape(len(rows), -1)
+        at = flat.argmax(axis=1)
+        a, b = np.divmod(at, ZOOM_PATCH)
+        top, r_top, th_top = flat[k, at], rs[k, a], ths[k, b]
+        up = top > best[rows]
+        best[rows[up]], r_best[rows[up]], th_best[rows[up]] = top[up], r_top[up], th_top[up]
+        going = np.maximum(dr[rows], dt[rows]) >= ZOOM_STOP
+        r_mid[rows], th_mid[rows] = r_top, th_top
+        dr[rows] /= half
+        dt[rows] /= half
+        rows = rows[going]
+    return [SupEstimate(value=float(best[n]),
+                        argmax=float(r_best[n]) * complex(math.cos(th_best[n]),
+                                                          math.sin(th_best[n])),
+                        refined=True,
+                        diverging=_shell_divergence(shell_max, int(shell_i[n])),
+                        shell_max=shell_max)
+            for n, (shell_max, _) in enumerate(coarse)]
 
 
 def weighted_sup_norm(f_eval, weight: Weight, grid: DiskGrid) -> SupEstimate:

@@ -45,6 +45,16 @@ def test_lemma25_cli(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("checkpoints", ["10.7", "1e1", "10,100.5", "ten"])
+def test_lemma25_checkpoints_are_integers(tmp_path, capsys, checkpoints):
+    # the --nseq rule: each entry parses as an int; 10.7 once ran at n = 11
+    rc = main(["lemma25", "--out", str(tmp_path / "o"), "--checkpoints", checkpoints,
+               "--alphas", "1"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_log_fit_window():
     ns = [1000, 10_000, 100_000, 1_000_000]
     vals = [1.0 - 1.0 / math.log(n) for n in ns]
@@ -238,6 +248,11 @@ def test_sweep_validation(tmp_path):
     pytest.param({"nseq": True}, [], id="nseq-bool"),
     pytest.param({"grid": {"angles": 64.9}}, [], id="grid-angles-float"),
     pytest.param({"grid": {"j_max": True}}, [], id="grid-jmax-bool"),
+    # exponents and compact_tol take JSON numbers only: true once read as 1
+    pytest.param({"alphas": [True]}, [], id="alpha-bool"),
+    pytest.param({"betas": [1.0, True]}, [], id="beta-bool"),
+    pytest.param({"compact_tol": True}, [], id="compact-tol-bool"),
+    pytest.param({"compact_tol": "0.001"}, [], id="compact-tol-string"),
 ])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg, flags):
     cfg_path = tmp_path / "cfg.json"
