@@ -28,12 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import CriterionReport, cell_sups, check_boundedness, take_sups
-from .essnorm import (EssNormEstimate, OperatorNotBoundedError, essential_norm)
+from .essnorm import (EssNormEstimate, OperatorNotBoundedError, essential_norm,
+                      inverse_log_fit)
 from .operators import (KINDS, SelfMapSymbol, apply_product, apply_ug, apply_vg,
                         product_second_derivative, symbol_from_config)
 from .series import TruncatedSeries
-from .spaces import (DiskGrid, Weight, bloch_norm, config_int, monomial_norm,
-                     weighted_sup_norm, zygmund_norm)
+from .spaces import (DiskGrid, NonFiniteValueError, Weight, bloch_norm, config_int,
+                     monomial_norm, weighted_sup_norm, zygmund_norm)
 from .testfns import verify_family_claims
 
 MAX_CHECKPOINT = 10 ** 7
@@ -72,29 +73,17 @@ class ConfigError(ValueError):
 # -- serialization helpers -----------------------------------------------------
 
 
-def _jsonable(obj):
-    """Recursive conversion to JSON-safe values; complex becomes [re, im]."""
+def _complex_pair(obj):
+    """json.dump's hook for values JSON has no type for: complex becomes [re, im]."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_complex_pair)
         fh.write("\n")
 
 
@@ -180,14 +169,27 @@ def load_json_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
+def merge_flags(cfg: dict, args) -> dict:
+    """``cfg`` with --nseq, --grid-angles and --jmax merged in as its nseq,
+    grid.angles and grid.j_max: a flag fills a value ``cfg`` leaves out, and
+    one that disagrees with a value it sets is a config error."""
+    for path, value in (("nseq", args.nseq), ("grid.angles", args.grid_angles),
+                        ("grid.j_max", args.jmax)):
+        if value is None:
+            continue
+        *outer, key = path.split(".")
+        section = cfg.setdefault("grid", {}) if outer else cfg
+        if not isinstance(section, dict):
+            raise ConfigError("sweep config entry 'grid' must be an object")
+        if section.setdefault(key, value) != value:
+            raise ConfigError(f"flag value {value} for {path} conflicts with the "
+                              f"config's {section[key]!r}")
+    return cfg
+
+
 def grid_from_args(args) -> DiskGrid:
-    grid_cfg = {}
-    if args.grid_angles is not None:
-        grid_cfg["angles"] = args.grid_angles
-    if args.jmax is not None:
-        grid_cfg["j_max"] = args.jmax
     try:
-        return DiskGrid.from_config(grid_cfg)
+        return DiskGrid.from_config(merge_flags({}, args).get("grid", {}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -270,11 +272,8 @@ def lemma25_log_fit(checkpoints, values) -> dict:
     mask = ns >= cut
     if mask.sum() < 3:
         mask = np.argsort(ns) >= len(ns) - 3
-    x = 1.0 / np.log(ns[mask])
-    coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T, vs[mask],
-                               rcond=None)
-    return {"a": float(coef[0]), "b": float(coef[1]),
-            "fit_checkpoints": [int(n) for n in ns[mask]]}
+    a, b = inverse_log_fit(ns[mask], vs[mask])
+    return {"a": a, "b": b, "fit_checkpoints": [int(n) for n in ns[mask]]}
 
 
 def run_lemma25(alphas, checkpoints, out_dir: Path) -> dict:
@@ -583,48 +582,60 @@ def run_sweep(cfg: dict, out_dir: Path) -> list:
 # -- argument parsing ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config path")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--nseq", type=int, default=4096)
-    common.add_argument("--grid-angles", type=int, default=None)
-    common.add_argument("--jmax", type=int, default=None)
+#: the flags that several subcommands take, each declared once
+SHARED_FLAGS = {
+    "--config": {"help": "JSON config path"},
+    "--out": {"default": "out", "help": "output directory"},
+    "--seed": {"type": int, "default": 42},
+    "--nseq": {"type": int, "default": 4096},
+    "--grid-angles": {"type": int},
+    "--jmax": {"type": int},
+}
+QUERY_FLAGS = ("--config", "--grid-angles", "--jmax", "--nseq")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskvolterra",
         description="Volterra-composition operators between Zygmund-type "
                     "spaces: boundedness criteria and essential norms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lemma25", parents=[common],
-                       help="monomial-norm asymptotics tables")
+    def command(name, flags=(), **kwargs):
+        """A subcommand taking --out and the shared ``flags``."""
+        p = sub.add_parser(name, **kwargs)
+        for flag in ("--out", *flags):
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        return p
+
+    p = command("lemma25", help="monomial-norm asymptotics tables")
     p.add_argument("--alphas", default="0.5,1,2")
     p.add_argument("--checkpoints",
                    default="10,100,1000,10000,100000,316228,1000000,3162278,10000000")
 
-    sub.add_parser("identities", parents=[common],
-                   help="seeded operator-algebra property suite").add_argument(
+    command("identities", ["--seed"],
+            help="seeded operator-algebra property suite").add_argument(
         "--count", type=int, default=100)
 
-    p = sub.add_parser("norms", parents=[common],
-                       help="norm tables for the configured symbols")
+    # norms and verify-testfns read no --nseq: they take it only because the
+    # benchmark's smoke queries (benchmarks/workloads.py SMOKE_FLAGS) pass it
+    p = command("norms", QUERY_FLAGS, help="norm tables for the configured symbols")
     p.add_argument("--alphas", default="0.5,1,1.5,2,2.5")
 
-    p = sub.add_parser("verify-testfns", parents=[common],
-                       help="claim report for the test-function families")
+    p = command("verify-testfns", ["--grid-angles", "--jmax", "--nseq"],
+                help="claim report for the test-function families")
     p.add_argument("--a-grid", default="0.6,0.7,0.8,0.9,0.95,0.99")
     p.add_argument("--alphas", default="0.5,1,1.5,2")
 
     for name in ("criterion", "essnorm"):
-        p = sub.add_parser(name, parents=[common])
+        p = command(name, QUERY_FLAGS)
         p.add_argument("--op", required=True, choices=KINDS)
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--beta", type=float, required=True)
 
-    sub.add_parser("sweep", parents=[common],
-                   help="criterion + essnorm over the full symbol/exponent grid")
+    # a sweep's --nseq, like its grid flags, defaults to its config's value
+    command("sweep", QUERY_FLAGS, help="criterion + essnorm over the full "
+            "symbol/exponent grid").set_defaults(nseq=None)
     return parser
 
 
@@ -649,10 +660,15 @@ def main(argv=None) -> int:
                     print(f"{name}: {status} (max error {entry['max_error']:.3e})")
             return 0 if report["all_passed"] else 1
 
-        grid = grid_from_args(args)
-        if args.command in ("criterion", "essnorm"):
-            check_operator_args([args.alpha], [args.beta], args.nseq)
+        if args.command == "sweep":
+            cfg = load_json_config(args.config) if args.config else {}
+            if not isinstance(cfg, dict):
+                raise ConfigError("sweep config must be a JSON object")
+            rows = run_sweep(merge_flags(cfg, args), out_dir)
+            print(f"sweep: {len(rows)} cells -> {out_dir / 'summary.csv'}")
+            return 0
 
+        grid = grid_from_args(args)
         if args.command == "norms":
             sym = symbol_from_file(args, grid)
             run_norms(sym, _parse_alphas(args.alphas), grid, out_dir)
@@ -663,6 +679,10 @@ def main(argv=None) -> int:
             report = verify_family_claims(a_grid=_parse_a_grid(args.a_grid),
                                           alpha_grid=_parse_alphas(args.alphas),
                                           grid=grid)
+            for family in report.values():
+                # float |a| keys as strings, so the JSON sorts them as strings
+                for block in family["norm_bound"]:
+                    block["norms"] = {str(a): v for a, v in block["norms"].items()}
             write_json(out_dir / "testfn_claims.json", report)
             mismatches = sum(1 for fam in report.values()
                              for c in fam["claims"] if c["status"] == "mismatch")
@@ -670,40 +690,23 @@ def main(argv=None) -> int:
                   f"({mismatches} mismatching claims reported)")
             return 0
 
+        check_operator_args([args.alpha], [args.beta], args.nseq)
+        sym = symbol_from_file(args, grid)
+        run = run_criterion if args.command == "criterion" else run_essnorm
+        try:
+            result = run(args.op, sym, args.alpha, args.beta, grid, args.nseq, out_dir)
+        except (OperatorNotBoundedError, NonFiniteValueError) as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 1
         if args.command == "criterion":
-            sym = symbol_from_file(args, grid)
-            report = run_criterion(args.op, sym, args.alpha, args.beta, grid,
-                                   args.nseq, out_dir)
-            print(f"criterion {args.op}: verdict {report.verdict}")
-            return 0
-
-        if args.command == "essnorm":
-            sym = symbol_from_file(args, grid)
-            try:
-                est = run_essnorm(args.op, sym, args.alpha, args.beta, grid,
-                                  args.nseq, out_dir)
-            except OperatorNotBoundedError as exc:
-                print(f"essnorm: {exc}", file=sys.stderr)
-                return 1
-            print(f"essnorm {args.op}: combined {est.combined:.6g} "
-                  f"compact={est.compact_flag}")
-            return 0
-
-        if args.command == "sweep":
-            cfg = load_json_config(args.config) if args.config else {}
-            if not isinstance(cfg, dict):
-                raise ConfigError("sweep config must be a JSON object")
-            if args.nseq != 4096:
-                cfg.setdefault("nseq", args.nseq)
-            rows = run_sweep(cfg, out_dir)
-            print(f"sweep: {len(rows)} cells -> {out_dir / 'summary.csv'}")
-            return 0
-
-        parser.error(f"unknown command {args.command}")
+            print(f"criterion {args.op}: verdict {result.verdict}")
+        else:
+            print(f"essnorm {args.op}: combined {result.combined:.6g} "
+                  f"compact={result.compact_flag}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def entrypoint() -> None:

@@ -209,7 +209,8 @@ def boundary_factor(abs_phi, form: tuple):
     if form[0] == "log":
         np.divide(2.0, y, out=y)
         return np.log(y, out=y)
-    y **= -form[1]
+    with np.errstate(over="ignore"):  # every sup raises NonFiniteValueError on an inf
+        y **= -form[1]
     return y
 
 

@@ -50,6 +50,13 @@ class BoundaryScan:
     trend: str            # "increasing" / "decreasing" / "flat" / "empty"
 
 
+def inverse_log_fit(ns, values) -> tuple:
+    """Least-squares (a, b) of a + b/log(n) over ``ns``, each n >= 2."""
+    x = 1.0 / np.log(np.asarray(ns, dtype=float))
+    coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T, values, rcond=None)
+    return float(coef[0]), float(coef[1])
+
+
 def sequence_limsup(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
                     n_seq: int, grid: DiskGrid | None = None):
     """Tail estimate of the scaled sequence quantity.
@@ -68,10 +75,7 @@ def sequence_limsup(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
     extrapolated = None
     fit = ns >= 2
     if scale[0] == "log" and np.count_nonzero(fit) >= 2:
-        x = 1.0 / np.log(ns[fit].astype(float))
-        coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T, vals[fit],
-                                   rcond=None)
-        extrapolated = float(coef[0])
+        extrapolated = inverse_log_fit(ns[fit], vals[fit])[0]
     return estimate, trend, extrapolated, scan
 
 

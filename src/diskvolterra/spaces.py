@@ -120,7 +120,8 @@ class DiskGrid:
 
     Radii combine ``radii_count`` uniformly spaced inner radii on [0, 1/2)
     with a ladder 1 - 2**(-k/steps_per_octave) accumulating at
-    r_max = 1 - 2**-j_max. The octave points 1 - 2**-j are always included.
+    r_max = 1 - 2**-j_max, with j_max <= 50. The octave points 1 - 2**-j are
+    always included.
     Angles are equispaced. Every supremum taken over the grid is polished
     by ``grid_supremum``'s zoom. A grid is not changed after construction:
     symbols keep their results per grid object.
@@ -135,6 +136,10 @@ class DiskGrid:
             raise ValueError("angles must be >= 64")
         if j_max < 1 or steps_per_octave < 1 or radii_count < 1:
             raise ValueError("radii_count, j_max, steps_per_octave must be >= 1")
+        if j_max > 50:
+            raise ValueError(f"j_max must be <= 50, got {j_max}: beyond 50, grid points "
+                             "at radius 1 - 2**-j round onto the unit circle in double "
+                             "precision")
         inner = np.linspace(0.0, 0.5, radii_count, endpoint=False)
         ks = np.arange(steps_per_octave, j_max * steps_per_octave + 1)
         ladder = 1.0 - 2.0 ** (-ks / steps_per_octave)
@@ -154,7 +159,10 @@ class DiskGrid:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DiskGrid":
-        """A grid from a config dict; an unknown key raises ValueError."""
+        """A grid from a config dict; an unknown key or a config that is not
+        a dict raises ValueError."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"grid config must be an object, got {cfg!r}")
         unknown = sorted(set(cfg) - set(cls.CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown grid keys: {', '.join(unknown)}")

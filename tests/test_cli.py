@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from diskvolterra.cli import (ConfigError, lemma25_log_fit, main, run_identity_suite,
-                              run_lemma25, run_sweep, write_csv)
+from diskvolterra.cli import (ConfigError, build_parser, lemma25_log_fit, main,
+                              run_identity_suite, run_lemma25, run_sweep, write_csv)
 
 
 def write_symbols(tmp_path, phi=None, g=None):
@@ -253,6 +253,10 @@ def test_sweep_validation(tmp_path):
     pytest.param({"betas": [1.0, True]}, [], id="beta-bool"),
     pytest.param({"compact_tol": True}, [], id="compact-tol-bool"),
     pytest.param({"compact_tol": "0.001"}, [], id="compact-tol-string"),
+    # an empty list once ran the default grid without a word
+    pytest.param({"grid": []}, [], id="grid-empty-list"),
+    # a grid whose points round onto the circle once failed every cell
+    pytest.param({"grid": {"j_max": 60}}, [], id="grid-jmax-past-double-precision"),
 ])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, cfg, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -363,3 +367,121 @@ def test_per_n_csv_bytes_are_csv_writers(tmp_path, raw, scaled):
         path = tmp_path / f"{len(columns)}.csv"
         write_csv(path, header, columns=columns)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+QUERY_FLAGS = {"--out", "--config", "--grid-angles", "--jmax", "--nseq"}
+#: the shared flags each subcommand accepts; norms and verify-testfns take an
+#: unread --nseq only because the benchmark's smoke queries pass it
+ACCEPTED = {
+    "lemma25": {"--out"},
+    "identities": {"--out", "--seed"},
+    "norms": QUERY_FLAGS,
+    "verify-testfns": QUERY_FLAGS - {"--config"},
+    "criterion": QUERY_FLAGS,
+    "essnorm": QUERY_FLAGS,
+    "sweep": QUERY_FLAGS,
+}
+OPERATOR = ["--op", "vgcphi", "--alpha", "1", "--beta", "1"]
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+@pytest.mark.parametrize("flag", ["--config", "--out", "--seed", "--nseq", "--grid-angles",
+                                  "--jmax"])
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, command, flag):
+    # every subcommand once took all six and ignored most: lemma25 ran with
+    # --jmax 0 --nseq -5, and sweep --jmax 10 ran j_max 40
+    argv = [command, *(OPERATOR if command in ("criterion", "essnorm") else []),
+            "--out", str(tmp_path / "out"), flag, "7"]
+    if flag in ACCEPTED[command]:
+        build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+
+SWEEP_CFG = {"kinds": ["vgcphi"], "phis": [{"family": "scaled_identity", "params": {"c": 0.5}}],
+             "gs": [{"family": "identity"}], "alphas": [1.0], "betas": [1.0], "nseq": 64,
+             "grid": {"radii_count": 6, "angles": 64, "j_max": 12}}
+
+
+def sweep_cli(tmp_path, cfg, flags, out="out"):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main(["sweep", "--config", str(path), "--out", str(tmp_path / out), *flags])
+
+
+@pytest.mark.parametrize("flags", [["--nseq", "32"], ["--jmax", "5"], ["--grid-angles", "128"]],
+                         ids=["nseq", "jmax", "grid-angles"])
+def test_sweep_flag_that_contradicts_the_config_exits_2(tmp_path, capsys, flags):
+    # these flags were once dropped in favour of the config without a word
+    rc = sweep_cli(tmp_path, SWEEP_CFG, flags)
+    assert rc == 2
+    assert "conflicts with the config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,key,value", [
+    pytest.param(["--jmax", "10"], "j_max", 10, id="jmax"),
+    pytest.param(["--grid-angles", "128"], "angles", 128, id="grid-angles"),
+    pytest.param(["--nseq", "32"], "nseq", 32, id="nseq"),
+])
+def test_sweep_flag_fills_what_the_config_leaves_out(tmp_path, flags, key, value):
+    cfg = json.loads(json.dumps(SWEEP_CFG))
+    del (cfg if key == "nseq" else cfg["grid"])[key]
+    assert sweep_cli(tmp_path, cfg, flags) == 0
+    echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+    assert (echo if key == "nseq" else echo["grid"])[key] == value
+
+
+def test_sweep_flags_equal_to_the_config_change_no_byte(tmp_path):
+    assert sweep_cli(tmp_path, SWEEP_CFG, [], out="plain") == 0
+    assert sweep_cli(tmp_path, SWEEP_CFG, ["--nseq", "64", "--grid-angles", "64",
+                                           "--jmax", "12"], out="flags") == 0
+    plain = sorted(p for p in (tmp_path / "plain").iterdir())
+    assert len(plain) == 4  # criterion, essnorm, summary, config echo
+    for path in plain:
+        assert path.read_bytes() == (tmp_path / "flags" / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("grid", [[64], None, "j_max"])
+def test_sweep_grid_flag_with_a_grid_that_is_no_object_exits_2(tmp_path, capsys, grid):
+    rc = sweep_cli(tmp_path, {**SWEEP_CFG, "grid": grid}, ["--jmax", "12"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,op", [("criterion", "vgcphi"), ("essnorm", "ugcphi")])
+def test_non_finite_value_exits_1_without_a_traceback(tmp_path, capsys, command, op):
+    # phi = g = z at alpha 120 overflows the pointwise side; this once
+    # escaped as an uncaught NonFiniteValueError
+    sym = write_symbols(tmp_path, phi={"family": "scaled_identity", "params": {"c": 1.0}})
+    rc = main([command, "--op", op, "--alpha", "120", "--beta", "1", "--config", sym,
+               "--out", str(tmp_path / "out"), "--nseq", "64", "--grid-angles", "64",
+               "--jmax", "12"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"{command}: ") and "Traceback" not in err
+
+
+def test_criterion_on_a_grid_past_double_precision_exits_2(tmp_path, capsys):
+    sym = write_symbols(tmp_path, phi={"family": "scaled_identity", "params": {"c": 1.0}})
+    rc = main(["criterion", *OPERATOR, "--config", sym, "--out", str(tmp_path / "out"),
+               "--nseq", "64", "--grid-angles", "64", "--jmax", "52"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_testfns_sorts_norm_keys_as_strings(tmp_path):
+    # the |a| keys of norm_bound are written as strings in string order, as
+    # they always were: "0.6" before "1e-05"
+    rc = main(["verify-testfns", "--out", str(tmp_path), "--a-grid", "0.6,0.00001",
+               "--alphas", "1", *SMALL_GRID])
+    assert rc == 0
+    report = json.loads((tmp_path / "testfn_claims.json").read_text())
+    orders = {tuple(block["norms"]) for family in report.values()
+              for block in family["norm_bound"]}
+    assert orders == {("0.6",), ("0.6", "1e-05")}

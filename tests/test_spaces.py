@@ -55,6 +55,15 @@ def test_grid_validation():
     assert g.r_max == pytest.approx(1 - 2.0 ** -12)
 
 
+def test_grid_stays_inside_the_disk_up_to_j_max_50():
+    # from j_max 52 on, points 1 - 2**-j round onto the unit circle, and a
+    # criterion on such a grid divided by 1 - |phi|^2 = 0
+    assert np.all(np.abs(DiskGrid(angles=64, j_max=50).points) < 1.0)
+    for j_max in (51, 54):
+        with pytest.raises(ValueError, match="unit circle"):
+            DiskGrid(j_max=j_max)
+
+
 def test_golden_max_on_parabola():
     # argmax precision is sqrt(eps) for a quadratic peak; the value is flat
     x, v = golden_max(lambda t: -(t - 0.3) ** 2 + 2.0, 0.0, 1.0)
