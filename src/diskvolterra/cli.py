@@ -74,17 +74,18 @@ class ConfigError(ValueError):
 
 
 def _complex_pair(obj):
-    """json.dump's hook for values JSON has no type for: complex becomes [re, im]."""
+    """json.dumps' hook for values JSON has no type for: complex becomes [re, im]."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload) -> None:
+    """The report ``payload`` as indented JSON with sorted keys, encoded in
+    one ``json.dumps`` and written in one call."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_complex_pair)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_complex_pair)
+                    + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, header: list, rows=(), columns=None) -> None:
@@ -291,6 +292,9 @@ def run_lemma25(alphas, checkpoints, out_dir: Path) -> dict:
         raise ConfigError(f"checkpoints are capped at {MAX_CHECKPOINT}")
     if min(checkpoints) < 1:
         raise ConfigError("checkpoints must be >= 1")
+    if max(checkpoints) < 2:
+        raise ConfigError("at least one checkpoint must be >= 2: the log table's "
+                          "a + b/log n fit reads n >= 2")
 
     std_rows = []
     standard = {}
@@ -336,6 +340,8 @@ def run_identity_suite(seed: int, count: int, grid: DiskGrid | None = None) -> d
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     from .spaces import default_grid
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)

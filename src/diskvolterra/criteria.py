@@ -290,27 +290,64 @@ def rung_layout(ctx: GridContext) -> tuple:
     return ctx.cached("rungs", layout)
 
 
+def segment_maxima(ctx: GridContext, h: np.ndarray) -> np.ndarray:
+    """The max of a grid table h over each segment of ``rung_layout``."""
+    _, idx, seg_starts, *_ = rung_layout(ctx)
+    return np.maximum.reduceat(h.ravel()[idx], seg_starts)
+
+
+def _keep_form_maxima(ctx: GridContext, form: tuple, group: dict) -> None:
+    """Keep the maxima of h = F |u| for each u of ``group`` (label -> u),
+    F(|phi|) of ``form`` taken over the grid once. h takes one reused
+    buffer, and for the last u F's own, so that a form with one u
+    allocates only F; both are dropped on return, before the next form."""
+    f = boundary_factor(ctx.abs_phi, form)
+    h = None
+    for k, (label, u) in enumerate(group.items(), start=1):
+        h = np.multiply(f, ctx.abs_u(u), out=f if k == len(group) else h)
+        ctx.cached(("maxima", label, form),
+                   lambda: (*shell_maxima(h), segment_maxima(ctx, h)))
+
+
+def batch_maxima(ctx: GridContext, pairs: list) -> list:
+    """``table_maxima`` of each (u, form) of ``pairs``, kept per (u, form).
+
+    The tables not yet kept are built grouped by form: every |u| first, as
+    in ``raw_sequence``, then each form's tables (``_keep_form_maxima``).
+    For the form F = 1, h is the context's |u| table itself: its segment
+    maxima are left to the ladder that asks for them (``boundary_ladder``),
+    and the entry holds None there.
+    """
+    todo: dict = {}
+    for u, form in pairs:
+        if ("maxima", u.label, form) not in ctx:
+            todo.setdefault(form, {})[u.label] = u
+    for group in todo.values():
+        for u in group.values():
+            ctx.abs_u(u)
+    for form, group in todo.items():
+        if form != ("power", 0.0):
+            _keep_form_maxima(ctx, form, group)
+            continue
+        for label, u in group.items():
+            ctx.cached(("maxima", label, form),
+                       lambda: (*shell_maxima(ctx.abs_u(u)), None))
+    return [ctx[("maxima", u.label, form)] for u, form in pairs]
+
+
 def table_maxima(ctx: GridContext, u, form: tuple) -> tuple:
     """(row_max, row_col, seg_max) of h = |u| F(|phi|) over the grid, kept
     per (u, form): per grid row the max of h and the first column holding
     it (``spaces.shell_maxima``, which raises on a non-finite h), and per
-    segment of ``rung_layout`` the max of h. h is built here and dropped;
-    for the form F = 1 it is the context's |u| table itself.
+    segment of ``rung_layout`` the max of h, None for the form F = 1. The
+    batch of one of ``batch_maxima``.
 
     Rounding is monotone, so for a radial weight w > 0 the max of
     fl(w h) over a row or a segment is fl(w max h): every beta's coarse
     sup, shell maxima and boundary ladder read exactly from these vectors
     and the radial weight at the grid radii, as from the table w (F |u|).
     """
-    def reduce():
-        h = ctx.abs_u(u)
-        if form != ("power", 0.0):
-            f = boundary_factor(ctx.abs_phi, form)
-            h = np.multiply(f, h, out=f)
-        row_max, row_col = shell_maxima(h)
-        _, idx, seg_starts, *_ = rung_layout(ctx)
-        return row_max, row_col, np.maximum.reduceat(h.ravel()[idx], seg_starts)
-    return ctx.cached(("maxima", u.label, form), reduce)
+    return batch_maxima(ctx, [(u, form)])[0]
 
 
 def pointwise_suprema(sym: SelfMapSymbol, requests: list,
@@ -318,7 +355,7 @@ def pointwise_suprema(sym: SelfMapSymbol, requests: list,
     """The sup over the disk of ``expression`` for each request
     (u, beta, form), all refined in one ``zoom_suprema`` loop.
 
-    Each coarse pass reads the shell maxima w * row_max of ``table_maxima``,
+    Each coarse pass reads the shell maxima w * row_max of ``batch_maxima``,
     w the weight at the grid radii; each zoom level evaluates the patches
     of every sup still zooming through one ``stacked_expression`` over one
     ``SymbolValues``, at their exact radii. The context keeps each estimate
@@ -333,10 +370,9 @@ def pointwise_suprema(sym: SelfMapSymbol, requests: list,
     todo = {key: request for key, request in zip(keys, requests) if key not in ctx}
     if todo:
         batch = list(todo.values())
-        coarse = []
-        for u, beta, form in batch:
-            row_max, row_col, _ = table_maxima(ctx, u, form)
-            coarse.append((Weight.standard(beta)(grid.radii) * row_max, row_col))
+        maxima = batch_maxima(ctx, [(u, form) for u, _, form in batch])
+        coarse = [(Weight.standard(beta)(grid.radii) * row_max, row_col)
+                  for (_, beta, _), (row_max, row_col, _) in zip(batch, maxima)]
         todo = dict(zip(todo, zoom_suprema(
             lambda rows, r, z: stacked_expression(SymbolValues(sym, z, r),
                                                   [batch[k] for k in rows]),
@@ -379,6 +415,8 @@ def boundary_ladder(ctx: GridContext, u, beta: float, form: tuple) -> tuple:
     running max over its shells."""
     eps, _, _, seg_rows, shell_segs, n_live = rung_layout(ctx)
     seg_max = table_maxima(ctx, u, form)[2]
+    if seg_max is None:   # F = 1: h is the kept |u| table
+        seg_max = segment_maxima(ctx, ctx.abs_u(u))
     sups = np.maximum.accumulate(np.maximum.reduceat(
         Weight.standard(beta)(ctx.radius[seg_rows, 0]) * seg_max, shell_segs))
     return (eps, tuple(float(sups[k - 1]) if k > 0 else 0.0 for k in n_live),

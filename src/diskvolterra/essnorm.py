@@ -11,13 +11,14 @@ exponent below 1) return exactly 0 alongside the diagnostics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import (CriterionReport, boundary_form, boundary_ladder, check_boundedness,
-                       conditions_for, form_label, scale_label, scan_window,
-                       sequence_quantity)
+from .criteria import (CriterionReport, SequenceScan, boundary_form, boundary_ladder,
+                       check_boundedness, conditions_for, form_label, scale_label,
+                       scan_window, sequence_quantity)
 from .operators import CPHIUG, UGCPHI, SelfMapSymbol, symbol_weights
 from .spaces import DiskGrid, Weight, default_grid
 
@@ -57,26 +58,52 @@ def inverse_log_fit(ns, values) -> tuple:
     return float(coef[0]), float(coef[1])
 
 
-def sequence_limsup(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
-                    n_seq: int, grid: DiskGrid | None = None):
-    """Tail estimate of the scaled sequence quantity.
-
-    Returns (estimate, trend_slope, extrapolated, scan): the estimate is the
-    max over the last ``criteria.scan_window(n_seq)`` + 1 indices, the trend
-    is the least-squares slope over them, and for log scalings an
-    a + b/log(n) fit over those n >= 2 (None if fewer than two) is
-    additionally reported because that convergence is O(1/log n).
-    """
-    scan = sequence_quantity(u, sym, weight, scale, n_seq, grid)
+@functools.cache
+def _trend_design(n_seq: int) -> tuple:
+    """(ns, lhs, scale, rcond) of ``np.polyfit(ns, vals, 1)`` over the
+    ``criteria.scan_window(n_seq)`` + 1 trailing indices ns of an n_seq
+    scan: the two-column Vandermonde matrix of ns with each column divided
+    by its norm, those norms, and polyfit's default rcond. Built once per
+    n_seq, read-only."""
     ns = np.arange(n_seq - scan_window(n_seq), n_seq + 1)
+    lhs = np.vander(ns.astype(float), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for a in (ns, lhs, scale):
+        a.flags.writeable = False
+    return ns, lhs, scale, len(ns) * np.finfo(float).eps
+
+
+def window_trend(vals, n_seq: int) -> float:
+    """Least-squares slope of ``vals``, the scaled values at the trailing
+    window of an n_seq scan, against n: ``np.polyfit(ns, vals, 1)[0]`` bit
+    for bit, as one ``lstsq`` on the design kept per n_seq."""
+    _, lhs, scale, rcond = _trend_design(n_seq)
+    return float(np.linalg.lstsq(lhs, vals, rcond)[0][0] / scale[0])
+
+
+def scan_tail(scan: SequenceScan) -> tuple:
+    """(estimate, trend_slope, extrapolated) of a scan: the estimate is the
+    max over the last ``criteria.scan_window(n_seq)`` + 1 indices, the
+    trend is their ``window_trend``, and for log scalings an a + b/log(n)
+    fit over those n >= 2 (None if fewer than two) is additionally
+    reported because that convergence is O(1/log n)."""
+    n_seq = len(scan.scaled) - 1
+    ns = _trend_design(n_seq)[0]
     vals = scan.scaled[ns]
-    estimate = float(np.max(vals))
-    trend = float(np.polyfit(ns.astype(float), vals, 1)[0])
     extrapolated = None
     fit = ns >= 2
-    if scale[0] == "log" and np.count_nonzero(fit) >= 2:
+    if scan.scale[0] == "log" and np.count_nonzero(fit) >= 2:
         extrapolated = inverse_log_fit(ns[fit], vals[fit])[0]
-    return estimate, trend, extrapolated, scan
+    return float(np.max(vals)), window_trend(vals, n_seq), extrapolated
+
+
+def sequence_limsup(u, sym: SelfMapSymbol, weight: Weight, scale: tuple,
+                    n_seq: int, grid: DiskGrid | None = None):
+    """Tail estimate of the scaled sequence quantity: (estimate,
+    trend_slope, extrapolated, scan), the ``scan_tail`` of its scan."""
+    scan = sequence_quantity(u, sym, weight, scale, n_seq, grid)
+    return (*scan_tail(scan), scan)
 
 
 def boundary_limsup(u, sym: SelfMapSymbol, beta: float, form: tuple,
@@ -139,11 +166,12 @@ def essential_norm(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     """Estimate the essential norm of a bounded product operator.
 
     Refuses (OperatorNotBoundedError) unless boundedness is established:
-    pass a precomputed CriterionReport for the same (kind, alpha, beta),
-    else ValueError, or one is computed here. The sequence tails reuse the
-    scans the report kept in the grid context. The combined estimate is the
-    max over the case's scaled sequence limsups; the boundary route rides
-    along per condition for cross-checking.
+    pass a precomputed CriterionReport for the same symbol, grid and
+    (kind, alpha, beta), else ValueError, or one is computed here. Each
+    condition's tail reads the report's ``SequenceScan`` of the same u,
+    scale and n_seq; only a scan the report lacks is derived here. The
+    combined estimate is the max over the case's scaled sequence limsups;
+    the boundary route rides along per condition for cross-checking.
     """
     if boundedness is not None and ((boundedness.kind, boundedness.alpha,
                                      boundedness.beta) != (kind, alpha, beta)):
@@ -160,10 +188,15 @@ def essential_norm(kind: str, sym: SelfMapSymbol, alpha: float, beta: float,
     weights = symbol_weights(kind, sym)
     v_beta = Weight.standard(beta)
 
+    scans = {(q.u_label, q.scale): q.scan for q in report.quantities
+             if len(q.scan.scaled) == n_seq + 1}
     conditions = []
     for key, scale, diagnostic in specs:
         u = weights[key]
-        est, trend, extrap, scan = sequence_limsup(u, sym, v_beta, scale, n_seq, grid)
+        scan = scans.get((u.label, scale))
+        if scan is None:
+            scan = sequence_quantity(u, sym, v_beta, scale, n_seq, grid)
+        est, trend, extrap = scan_tail(scan)
         form = boundary_form(scale)
         bscan = boundary_limsup(u, sym, beta, form, grid)
         conditions.append(ConditionEstimate(

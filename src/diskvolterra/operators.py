@@ -107,6 +107,9 @@ class GridContext:
     def __contains__(self, key) -> bool:
         return key in self._memo
 
+    def __getitem__(self, key):
+        return self._memo[key]
+
     def cached(self, key, compute):
         """compute() on the first use of ``key``, then kept in the memo."""
         if key not in self._memo:

@@ -55,6 +55,21 @@ def test_lemma25_checkpoints_are_integers(tmp_path, capsys, checkpoints):
     assert not (tmp_path / "o").exists()
 
 
+def test_lemma25_without_a_checkpoint_for_the_log_fit_exits_2(tmp_path, capsys):
+    # the a + b/log n fit reads the checkpoints n >= 2; with none it once
+    # crashed on an empty array
+    rc = main(["lemma25", "--out", str(tmp_path / "o"), "--alphas", "1",
+               "--checkpoints", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "config error" in err and "checkpoint must be >= 2" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+    rc = main(["lemma25", "--out", str(tmp_path / "o"), "--alphas", "1",
+               "--checkpoints", "1,2"])
+    assert rc == 0
+    fit = json.loads((tmp_path / "o" / "lemma25_log_fit.json").read_text())
+    assert fit["fit_checkpoints"] == [2]
+
+
 def test_log_fit_window():
     ns = [1000, 10_000, 100_000, 1_000_000]
     vals = [1.0 - 1.0 / math.log(n) for n in ns]
@@ -77,6 +92,13 @@ def test_identities_cli_exit_codes(tmp_path):
     rc = main(["identities", "--count", "3", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "identities.json").exists()
+
+
+def test_identities_with_a_negative_seed_exits_2(tmp_path, capsys):
+    rc = main(["identities", "--seed", "-1", "--count", "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "config error: seed must be >= 0" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_criterion_cli(tmp_path):

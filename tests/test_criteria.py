@@ -234,7 +234,11 @@ def test_context_keeps_everything_in_one_memo():
         if key[0] == "maxima":
             row_max, row_col, seg_max = value
             assert row_max.shape == row_col.shape == grid.radii.shape, key
-            assert seg_max.shape == (n_segs,), key
+            # a membership table (F = 1) takes its segment maxima in a ladder only
+            if key[2] == ("power", 0.0):
+                assert seg_max is None, key
+            else:
+                assert seg_max.shape == (n_segs,), key
 
 
 FORMS = (("power", 0.0), ("power", 1.5), ("log",))
@@ -299,6 +303,48 @@ def test_boundary_factor_is_taken_once_per_weight_and_form(monkeypatch):
     forms = [key[2] for key in sym.context(grid)._memo
              if key[0] == "maxima" and key[2] != ("power", 0.0)]
     assert forms and sum(calls.values()) == len(forms)
+
+
+def test_a_sweep_part_takes_F_once_per_form_of_its_batch(monkeypatch, tmp_path):
+    # one sweep part batches the sups of all its cells, and the batch builds
+    # its tables grouped by form: F(|phi|) over the grid once per form other
+    # than F = 1. Only the essential norm's diagnostic (u, form) pairs, which
+    # no sup reads, build a table later, each alone. No membership table
+    # (F = 1) takes segment maxima, since no ladder asks for one
+    from diskvolterra import cli
+    factor = criteria.boundary_factor
+    calls = collections.Counter()
+    shape = dv.DiskGrid(**SMALL_GRID).points.shape
+    contexts = []
+
+    def counted(abs_phi, form):
+        if np.shape(abs_phi) == shape:
+            calls[form] += 1
+        return factor(abs_phi, form)
+
+    def built(spec, grid):
+        sym = dv.symbol_from_config(spec, grid=grid)
+        contexts.append(sym.context(grid))
+        return sym
+
+    monkeypatch.setattr(criteria, "boundary_factor", counted)
+    monkeypatch.setattr(cli, "symbol_from_config", built)
+    cfg = {"kinds": list(dv.KINDS), "alphas": [0.5, 1.0, 1.5, 2.0, 2.5],
+           "betas": [1.0, 2.0], "nseq": 64, "grid": SMALL_GRID,
+           "phis": [{"family": "scaled_identity", "params": {"c": 0.5}}],
+           "gs": [{"family": "poly", "params": {"coeffs": [0.0, 0.0, 1.0]}}]}
+    rows = cli.run_sweep(cfg, tmp_path)
+    assert {row[cli.SWEEP_HEADER.index("verdict")] for row in rows} == {"bounded"}
+    memo = contexts[0]._memo
+    batch = {key[3] for key in memo if key[0] == "sup"} - {("power", 0.0)}
+    later = collections.Counter(key[2] for key in memo
+                                if key[0] == "maxima" and key[2] not in batch
+                                and key[2] != ("power", 0.0))
+    assert len(batch) == 6 and sum(later.values()) == 4
+    assert calls == collections.Counter(dict.fromkeys(batch, 1)) + later
+    memberships = [value for key, value in memo.items()
+                   if key[0] == "maxima" and key[2] == ("power", 0.0)]
+    assert memberships and all(seg_max is None for *_, seg_max in memberships)
 
 
 def test_a_symbol_weight_is_its_kind_and_slot():

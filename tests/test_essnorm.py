@@ -6,7 +6,7 @@ import pytest
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria
 from diskvolterra.criteria import boundary_form, scan_window
-from diskvolterra.essnorm import essnorm_conditions
+from diskvolterra.essnorm import _trend_design, essnorm_conditions, window_trend
 from diskvolterra.operators import SymbolValues
 
 from conftest import prefix_max_ladder, weighted_table
@@ -161,6 +161,88 @@ def test_essential_norm_reuses_the_boundedness_scans(grid, monkeypatch):
         fresh = dv.essential_norm(kind, sym_of([0, 0.9], [0, 1, 0.5], grid), alpha,
                                   1.0, grid, n_seq=512)
         assert est.combined == fresh.combined
+
+
+def test_essential_norm_reads_the_scans_of_its_report(monkeypatch):
+    # given the boundedness report, the essential norm reads each condition's
+    # SequenceScan from it and derives only the diagnostic scans the report
+    # lacks; every trend is one lstsq, never np.polyfit, and the estimate is
+    # the one computed without the report
+    grid = dv.DiskGrid(radii_count=8, angles=64, j_max=12)
+    made, scan_of = [], criteria.SequenceScan
+
+    def counted(**fields):
+        made.append(fields["scale"])
+        return scan_of(**fields)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    cells = [(kind, alpha) for kind in dv.KINDS for alpha in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    for kind, alpha in cells:
+        sym = sym_of([0, 0.5], [0, 1, 0.5], grid)
+        report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=128)
+        assert report.verdict == "bounded"
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "SequenceScan", counted)
+            m.setattr(np, "polyfit", refused)
+            del made[:]
+            est = dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=128,
+                                    boundedness=report)
+        diagnostic = [c.scale for c in est.conditions if c.diagnostic_only]
+        assert made == diagnostic, (kind, alpha)
+        reported = {(q.u_label, q.scale): q.scan for q in report.quantities}
+        for c in est.conditions:
+            if not c.diagnostic_only:
+                assert c.scan is reported[c.u_label, c.scale], (kind, alpha)
+        fresh = dv.essential_norm(kind, sym_of([0, 0.5], [0, 1, 0.5], grid), alpha,
+                                  1.0, grid, n_seq=128)
+        assert est == fresh, (kind, alpha)
+
+
+def test_essential_norm_derives_the_scans_of_another_n_seq():
+    # a report taken at another n_seq holds no scan of this one: each
+    # condition's scan is derived at the n_seq asked for
+    grid = dv.DiskGrid(radii_count=8, angles=64, j_max=12)
+    sym = sym_of([0, 0.5], [0, 1, 0.5], grid)
+    report = dv.check_boundedness("cphivg", sym, 2.5, 1.0, grid, n_seq=128)
+    est = dv.essential_norm("cphivg", sym, 2.5, 1.0, grid, n_seq=64, boundedness=report)
+    assert [len(c.scan.scaled) for c in est.conditions] == [65, 65]
+    fresh = dv.essential_norm("cphivg", sym_of([0, 0.5], [0, 1, 0.5], grid), 2.5, 1.0,
+                              grid, n_seq=64)
+    assert est == fresh
+
+
+def window_of(n_seq):
+    return np.arange(n_seq - scan_window(n_seq), n_seq + 1).astype(float)
+
+
+@pytest.mark.parametrize("n_seq", [1, 2, 3, 8, 64, 4096])
+def test_window_trend_is_polyfit_bit_for_bit(n_seq):
+    ns = window_of(n_seq)
+    rng = np.random.default_rng(n_seq)
+    windows = {"zero": np.zeros(len(ns)), "constant": np.full(len(ns), 0.7),
+               "random": rng.random(len(ns)),
+               "decaying": 3.0 * (ns + 1.0) ** -0.4,
+               "large": 1e7 * rng.random(len(ns)) + ns}
+    for name, vals in windows.items():
+        want = float(np.polyfit(ns, vals, 1)[0])
+        assert repr(window_trend(vals, n_seq)) == repr(want), name
+
+
+def test_window_trend_keeps_one_design_per_window():
+    # the designs are kept per n_seq: calls at 64, 65 and 64 again each read
+    # their own window, and the second call at 64 reads the first's design.
+    # Both windows hold 17 indices, so a design read for the wrong one would
+    # not fail on its shape
+    rng = np.random.default_rng(7)
+    for n_seq in (64, 65, 64):
+        ns = window_of(n_seq)
+        vals = rng.random(len(ns))
+        assert repr(window_trend(vals, n_seq)) == repr(float(np.polyfit(ns, vals, 1)[0]))
+        assert np.array_equal(_trend_design(n_seq)[0], ns)
+    assert _trend_design(64) is _trend_design(64)
+    assert not np.array_equal(_trend_design(64)[1], _trend_design(65)[1])
 
 
 def test_boundary_limsup_reads_the_pointwise_table(grid, monkeypatch):
