@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import sys
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .operators import (KINDS, SelfMapSymbol, apply_product, apply_ug, apply_vg,
                         product_second_derivative, symbol_from_config)
 from .series import TruncatedSeries
 from .spaces import (DiskGrid, NonFiniteValueError, Weight, bloch_norm, config_int,
-                     monomial_norm, weighted_sup_norm, zygmund_norm)
+                     is_number, monomial_norm, weighted_sup_norm, zygmund_norm)
 from .testfns import verify_family_claims
 
 MAX_CHECKPOINT = 10 ** 7
@@ -193,11 +192,6 @@ def grid_from_args(args) -> DiskGrid:
         return DiskGrid.from_config(merge_flags({}, args).get("grid", {}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def is_number(value) -> bool:
-    """A JSON number: an int or a float, never a bool or a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_operator_args(alphas, betas, n_seq: int) -> None:
@@ -534,7 +528,7 @@ def run_sweep(cfg: dict, out_dir: Path) -> list:
     cell = 0
     for pi, phi_spec in enumerate(cfg["phis"]):
         for gi, g_spec in enumerate(cfg["gs"]):
-            sym = symbols[(pi, gi)]
+            sym = symbols.pop((pi, gi))   # its grid context goes with its part
             take_sups(sym, [request for kind in cfg["kinds"] for alpha in cfg["alphas"]
                             for beta in cfg["betas"]
                             for request in cell_sups(kind, sym, alpha, beta)], grid)

@@ -313,18 +313,17 @@ def batch_maxima(ctx: GridContext, pairs: list) -> list:
     """``table_maxima`` of each (u, form) of ``pairs``, kept per (u, form).
 
     The tables not yet kept are built grouped by form: every |u| first, as
-    in ``raw_sequence``, then each form's tables (``_keep_form_maxima``).
-    For the form F = 1, h is the context's |u| table itself: its segment
-    maxima are left to the ladder that asks for them (``boundary_ladder``),
-    and the entry holds None there.
+    in ``raw_sequence``, in one ``GridContext.abs_u``, then each form's
+    tables (``_keep_form_maxima``). For the form F = 1, h is the context's
+    |u| table itself: its segment maxima are left to the ladder that asks
+    for them (``boundary_ladder``), and the entry holds None there.
     """
     todo: dict = {}
     for u, form in pairs:
         if ("maxima", u.label, form) not in ctx:
             todo.setdefault(form, {})[u.label] = u
-    for group in todo.values():
-        for u in group.values():
-            ctx.abs_u(u)
+    if todo:
+        ctx.abs_u(*(u for group in todo.values() for u in group.values()))
     for form, group in todo.items():
         if form != ("power", 0.0):
             _keep_form_maxima(ctx, form, group)

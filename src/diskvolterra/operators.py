@@ -13,6 +13,7 @@ boundary. Symbol weights are formulas over ``SymbolValues``.
 
 from __future__ import annotations
 
+import inspect
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import N_WORK, Analytic, ClosedForm, TruncatedSeries
-from .spaces import (DiskGrid, Weight, default_grid, golden_max, weighted_sup_norm,
-                     zygmund_norm)
+from .spaces import (DiskGrid, Weight, default_grid, golden_max, is_number,
+                     weighted_sup_norm, zygmund_norm)
 
 #: the four product-operator kinds
 VGCPHI = "vgcphi"   # f -> integral_0^z f'(phi(s)) g(s) ds
@@ -41,9 +42,13 @@ class InvalidSelfMapError(ValueError):
 
 
 def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
+    """A complex spec parameter: a number, never a bool or a string, or an
+    [re, im] pair of such numbers; anything else is a TypeError."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    if not all(map(is_number, parts)):
+        raise TypeError(f"a complex parameter is a number or an [re, im] pair of "
+                        f"numbers, got {value!r}")
+    return complex(*parts)
 
 
 #: value-provider name -> (symbol attribute, evaluated at phi(z))
@@ -52,6 +57,13 @@ _SYMBOL_ATTRS = {
     "g": ("g", False), "g1": ("g_d1", False), "g2": ("g_d2", False),
     "g_phi": ("g", True), "g1_phi": ("g_d1", True), "g2_phi": ("g_d2", True),
 }
+
+
+def _reads(formula) -> set:
+    """The provider values a formula over ``SymbolValues`` reads: the names
+    its code holds, and phi with any value taken at phi(z)."""
+    names = _SYMBOL_ATTRS.keys() & set(formula.__code__.co_names)
+    return names | {"phi"} if any(_SYMBOL_ATTRS[n][1] for n in names) else names
 
 
 class SymbolValues:
@@ -85,8 +97,8 @@ class SymbolValues:
 class GridContext:
     """Everything one symbol keeps for one grid, in one memo filled through
     ``cached``: abs_phi = |phi|, desc_order (the argsort of -|phi| over the
-    flattened points), abs_phi_desc (|phi| in that order), |u| per operator
-    kind (``abs_u``), and from ``criteria`` the sequence scans, the refined
+    flattened points), abs_phi_desc (|phi| in that order), |u| per symbol
+    weight (``abs_u``), and from ``criteria`` the sequence scans, the refined
     sups, the boundary rung layout and, per (u, form), the row and segment
     maxima of |u| F(|phi|) (``table_maxima``). The grid-sized tables it
     keeps are the |phi| ones and |u|, all float: no table depends on a
@@ -129,18 +141,25 @@ class GridContext:
     def abs_phi_desc(self) -> np.ndarray:
         return self.cached("abs_phi_desc", lambda: self.abs_phi.ravel()[self.desc_order])
 
-    def abs_u(self, u: SymbolWeight) -> np.ndarray:
-        """|u| over the grid. Both weights of u's kind are built together
-        from one transient provider, which also gives abs_phi when it has
-        evaluated phi."""
-        def pair():
+    def abs_u(self, u: SymbolWeight, *more: SymbolWeight) -> np.ndarray:
+        """|u| over the grid, kept per weight. The tables not kept yet of
+        the kinds of u and ``more`` (both weights of a kind share most
+        values), and abs_phi if it is not kept, are built from one
+        transient provider, in ``WEIGHT_FORMULAS`` order with abs_phi last;
+        each symbol value is dropped as soon as no later table reads it."""
+        if more or ("abs_u", u.label) not in self._memo:
+            kinds = {w.kind for w in (u, *more)}
+            steps = [(("abs_u", label), formula) for kind, pair in WEIGHT_FORMULAS.items()
+                     if kind in kinds for label, formula in pair]
+            steps = [(key, formula) for key, formula in steps + [("abs_phi", lambda v: v.phi)]
+                     if key not in self._memo]
             values = self.values()
-            tables = tuple(np.abs(formula(values))
-                           for _, formula in WEIGHT_FORMULAS[u.kind])
-            if "phi" in vars(values):
-                self.cached("abs_phi", lambda: values.abs_phi)
-            return tables
-        return self.cached(("abs_u", u.kind), pair)[u.slot]
+            for k, (key, formula) in enumerate(steps):
+                self._memo[key] = np.abs(formula(values))
+                later = set().union(*(_reads(f) for _, f in steps[k + 1:]))
+                for name in vars(values).keys() & _SYMBOL_ATTRS.keys() - later:
+                    delattr(values, name)
+        return self._memo[("abs_u", u.label)]
 
 
 class SelfMapSymbol:
@@ -312,18 +331,20 @@ def operator_norm_estimate(kind: str, sym: SelfMapSymbol, alpha: float,
 
 
 #: the symbol weights (u1, u2) of each kind: (label, formula over a
-#: value provider with the attributes of ``SymbolValues``)
+#: value provider with the attributes of ``SymbolValues``). The kinds that
+#: read values at phi(z) come first: ``GridContext.abs_u`` builds in this
+#: order, so their five live values meet the fewest kept |u| tables
 WEIGHT_FORMULAS = {
-    VGCPHI: (("g*phi'", lambda v: v.g * v.phi1),
-             ("g'", lambda v: v.g1)),
-    UGCPHI: (("g'*phi'", lambda v: v.g1 * v.phi1),
-             ("g''", lambda v: v.g2)),
     CPHIVG: (("g(phi)*phi'^2", lambda v: v.g_phi * v.phi1 ** 2),
              ("g'(phi)*phi'^2+g(phi)*phi''",
               lambda v: v.g1_phi * v.phi1 ** 2 + v.g_phi * v.phi2)),
     CPHIUG: (("g'(phi)*phi'^2", lambda v: v.g1_phi * v.phi1 ** 2),
              ("g''(phi)*phi'^2+g'(phi)*phi''",
               lambda v: v.g2_phi * v.phi1 ** 2 + v.g1_phi * v.phi2)),
+    VGCPHI: (("g*phi'", lambda v: v.g * v.phi1),
+             ("g'", lambda v: v.g1)),
+    UGCPHI: (("g'*phi'", lambda v: v.g1 * v.phi1),
+             ("g''", lambda v: v.g2)),
 }
 
 
@@ -363,32 +384,50 @@ def symbol_weights(kind: str, sym: SelfMapSymbol) -> dict[str, SymbolWeight]:
 # -- symbol families from JSON -------------------------------------------------
 
 
+def _poly(coeffs) -> TruncatedSeries:
+    if not isinstance(coeffs, (list, tuple)):
+        raise TypeError(f"poly coeffs must be a list, got {coeffs!r}")
+    return TruncatedSeries([_as_complex(c) for c in coeffs])
+
+
+#: the families of a phi and of a g spec: family -> the constructor that takes
+#: the spec's params as its keywords
+_SPEC_FAMILIES = {
+    "phi": {"scaled_identity": lambda c=1.0: TruncatedSeries([0.0, _as_complex(c)]),
+            "mobius": lambda a: ClosedForm("mobius", _as_complex(a)),
+            "poly": _poly},
+    "g": {"identity": lambda: TruncatedSeries([0.0, 1.0]),
+          "log_cesaro": lambda: ClosedForm("log"),
+          "poly": _poly},
+}
+
+
+def _from_spec(spec: dict, role: str) -> Analytic:
+    """The symbol of a phi or g spec {"family": ..., "params": {...}}. An
+    unknown family, a spec key other than these two, or a param that the
+    family's constructor does not take is a ValueError; so is a missing one."""
+    families = _SPEC_FAMILIES[role]
+    family, params = spec.get("family"), spec.get("params", {})
+    if family not in families:
+        raise ValueError(f"unknown {role} family {family!r}")
+    takes = inspect.signature(families[family]).parameters
+    unknown = sorted(set(spec) - {"family", "params"}) + sorted(set(params) - set(takes))
+    missing = [key for key, p in takes.items() if p.default is p.empty and key not in params]
+    if unknown or missing:
+        raise ValueError(f"{family} {role} spec: unknown keys {unknown}, "
+                         f"missing params {missing}")
+    return families[family](**params)
+
+
 def phi_from_config(spec: dict) -> Analytic:
     """Inner-symbol families: scaled_identity, mobius (a closed form), poly."""
-    family = spec.get("family")
-    params = spec.get("params", {})
-    if family == "scaled_identity":
-        c = _as_complex(params.get("c", 1.0))
-        return TruncatedSeries([0.0, c])
-    if family == "mobius":
-        return ClosedForm("mobius", _as_complex(params["a"]))
-    if family == "poly":
-        return TruncatedSeries([_as_complex(c) for c in params["coeffs"]])
-    raise ValueError(f"unknown phi family {family!r}")
+    return _from_spec(spec, "phi")
 
 
 def g_from_config(spec: dict) -> Analytic:
     """Outer-symbol families: identity, log_cesaro (the closed form
     log(1/(1-z))), poly."""
-    family = spec.get("family")
-    params = spec.get("params", {})
-    if family == "identity":
-        return TruncatedSeries([0.0, 1.0])
-    if family == "log_cesaro":
-        return ClosedForm("log")
-    if family == "poly":
-        return TruncatedSeries([_as_complex(c) for c in params["coeffs"]])
-    raise ValueError(f"unknown g family {family!r}")
+    return _from_spec(spec, "g")
 
 
 def symbol_from_config(spec: dict, grid: DiskGrid | None = None) -> SelfMapSymbol:

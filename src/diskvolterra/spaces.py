@@ -107,6 +107,11 @@ class Weight:
         return "Weight.logarithmic()"
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def config_int(key: str, value) -> int:
     """A config entry that must be an integer: a JSON integer, never a bool,
     a float or a string (ValueError)."""

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from diskvolterra import cli
 from diskvolterra.cli import (ConfigError, build_parser, lemma25_log_fit, main,
                               run_identity_suite, run_lemma25, run_sweep, write_csv)
 
@@ -182,6 +184,74 @@ def test_malformed_symbol_specs_exit_2(tmp_path, capsys, command, entry):
     err = capsys.readouterr().err
     assert rc == 2
     assert "config error" in err and "Traceback" not in err
+
+
+#: complex spec parameters that are not a number or an [re, im] pair of
+#: numbers; each of these once ran, the first as phi = z, the second as 0
+BAD_NUMBERS = [
+    pytest.param({"phi": {"family": "poly", "params": {"coeffs": "01"}}}, id="coeffs-string"),
+    pytest.param({"phi": {"family": "poly", "params": {"coeffs": {"0": 1}}}},
+                 id="coeffs-object"),
+    pytest.param({"g": {"family": "poly", "params": {"coeffs": {}}}}, id="coeffs-empty-object"),
+    pytest.param({"g": {"family": "poly", "params": {"coeffs": [0, True]}}}, id="coeff-bool"),
+    pytest.param({"phi": {"family": "scaled_identity", "params": {"c": "0.5"}}},
+                 id="c-string"),
+    pytest.param({"phi": {"family": "scaled_identity", "params": {"c": [0.5, 0, 7]}}},
+                 id="c-triple"),
+    pytest.param({"phi": {"family": "mobius", "params": {"a": [0.5, False]}}},
+                 id="a-pair-with-bool"),
+]
+
+#: keys that no family reads, beside the family or in its params
+UNKNOWN_KEYS = [
+    pytest.param({"phi": {"family": "scaled_identity", "params": {"c": 0.5}, "extra": 1}},
+                 id="spec-key"),
+    pytest.param({"phi": {"family": "scaled_identity", "params": {"c": 0.5, "zz": 1}}},
+                 id="scaled-identity-param"),
+    pytest.param({"g": {"family": "identity", "params": {"c": 1.0}}}, id="identity-param"),
+    pytest.param({"g": {"family": "log_cesaro", "params": {"a": 0.5}}},
+                 id="log-cesaro-param"),
+    pytest.param({"g": {"family": "poly", "params": {"coeffs": [0, 1], "c": 1}}},
+                 id="poly-param"),
+]
+
+
+def run_with_symbols(tmp_path, command, entry):
+    """main() of ``command`` on SYMBOLS with ``entry`` merged in, given as
+    a symbol file or, for a sweep, as the one phi and g of its config."""
+    symbols = {**SYMBOLS, **entry}
+    cfg = (symbols if command != "sweep" else
+           {"kinds": ["vgcphi"], "phis": [symbols["phi"]], "gs": [symbols["g"]],
+            "alphas": [1.0], "betas": [1.0], "nseq": 64})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    flags = [] if command == "sweep" else ["--op", "vgcphi", "--alpha", "1", "--beta", "1",
+                                           "--nseq", "64"]
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                 *SMALL_GRID, *flags])
+
+
+@pytest.mark.parametrize("command", ["criterion", "sweep"])
+@pytest.mark.parametrize("entry", BAD_NUMBERS + UNKNOWN_KEYS)
+def test_spec_numbers_and_keys_follow_one_rule(tmp_path, capsys, command, entry):
+    rc = run_with_symbols(tmp_path, command, entry)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["criterion", "sweep"])
+@pytest.mark.parametrize("entry", [
+    pytest.param({"phi": {"family": "scaled_identity", "params": {"c": [0.5, 0]}}},
+                 id="c-pair"),
+    pytest.param({"phi": {"family": "scaled_identity"}}, id="c-default"),
+    pytest.param({"g": {"family": "poly", "params": {"coeffs": [0, 1, [0, 0.5]]}}},
+                 id="coeffs-mixed"),
+    pytest.param({"g": {"family": "log_cesaro", "params": {}}}, id="empty-params"),
+])
+def test_well_formed_specs_run(tmp_path, command, entry):
+    assert run_with_symbols(tmp_path, command, entry) == 0
 
 
 @pytest.mark.parametrize("nseq", ["4", "9"])
@@ -421,6 +491,24 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, command, flag):
             main(argv)
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_lets_go_of_each_symbol_when_the_next_part_starts(tmp_path, monkeypatch):
+    # the symbols of a sweep, and so their grid contexts with every kept
+    # table, once all lived until the whole sweep ended
+    contexts, alive = [], []
+    take = cli.take_sups
+
+    def spy(sym, requests, grid=None):
+        alive.append([ref() is not None for ref in contexts])
+        take(sym, requests, grid)
+        contexts.append(weakref.ref(sym.context(grid)))
+    monkeypatch.setattr(cli, "take_sups", spy)
+    cfg = {"kinds": ["vgcphi"], "phis": [{"family": "scaled_identity", "params": {"c": 0.5}},
+                                         {"family": "mobius", "params": {"a": 0.5}}],
+           "gs": [{"family": "identity"}], "alphas": [1.0], "betas": [1.0], "nseq": 64}
+    assert len(run_sweep(cfg, tmp_path / "out")) == 2
+    assert alive == [[], [False]]
 
 
 SWEEP_CFG = {"kinds": ["vgcphi"], "phis": [{"family": "scaled_identity", "params": {"c": 0.5}}],

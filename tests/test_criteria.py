@@ -7,6 +7,7 @@ import pytest
 
 import diskvolterra as dv
 from diskvolterra import SelfMapSymbol, TruncatedSeries, Weight, criteria, operators
+from diskvolterra.cli import run_sweep
 from diskvolterra.criteria import (_pareto_front, apply_scale, conditions_for, expression,
                                    front_sequence, pointwise_quantity, raw_sequence,
                                    sequence_quantity)
@@ -221,12 +222,13 @@ def test_context_keeps_everything_in_one_memo():
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo}
     assert kinds == {"abs_phi", "desc_order", "abs_phi_desc", "abs_u", "scan", "sup",
                      "rungs", "maxima"}
-    assert {key[1] for key in memo if key[0] == "abs_u"} == set(dv.KINDS)
+    labels = [label for pair in operators.WEIGHT_FORMULAS.values() for label, _ in pair]
+    assert sorted(key[1] for key in memo if key[0] == "abs_u") == sorted(labels)
     assert ctx.abs_phi is memo["abs_phi"]
     idx = memo["rungs"][1]
     assert 0 < idx.size < grid.points.size
     tables = [memo["abs_phi"], memo["desc_order"], memo["abs_phi_desc"], idx]
-    tables += [t for key, pair in memo.items() if key[0] == "abs_u" for t in pair]
+    tables += [t for key, t in memo.items() if key[0] == "abs_u"]
     big = [a for a in grid_arrays(memo) if a.size >= idx.size]
     assert len(big) == len(tables) and all(any(a is t for t in tables) for a in big)
     n_segs = len(memo["rungs"][2])
@@ -393,6 +395,52 @@ def test_each_weight_is_evaluated_over_the_grid_once_per_context(monkeypatch):
                                       boundedness=report)
     labels = [label for pair in operators.WEIGHT_FORMULAS.values() for label, _ in pair]
     assert calls == collections.Counter(labels)
+
+
+def count_grid_evaluations(monkeypatch, grid):
+    """A list that gets one entry per call of a symbol function (a
+    truncated series or a closed form) on an array of the grid's shape."""
+    calls = []
+    for cls in (dv.TruncatedSeries, dv.ClosedForm):
+        def counted(self, z, _call=cls.__call__):
+            if np.shape(z) == grid.points.shape:
+                calls.append(self)
+            return _call(self, z)
+        monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", TABLE_SYMBOLS[:2])
+def test_a_sweep_part_evaluates_each_symbol_function_over_the_grid_once(
+        tmp_path, monkeypatch, spec):
+    # phi, phi', phi'', g, g', g'' and g, g', g'' at phi: the eight |u| tables
+    # and |phi| come from one provider (16 evaluations with one per kind)
+    grid = dv.DiskGrid(**SMALL_GRID)
+    calls = count_grid_evaluations(monkeypatch, grid)
+    cfg = {"kinds": list(dv.KINDS), "phis": [spec["phi"]], "gs": [spec["g"]],
+           "alphas": [0.5, 1.0, 2.5], "betas": [1.0], "nseq": 64, "grid": SMALL_GRID}
+    run_sweep(cfg, tmp_path / "out")
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("kind,count", [("vgcphi", 4), ("ugcphi", 4),
+                                        ("cphivg", 5), ("cphiug", 5)])
+def test_one_cell_evaluates_only_what_its_kind_reads(monkeypatch, kind, count):
+    # |phi| and the values of the kind's two weights: phi' and g, g' (vgcphi)
+    # or g', g'' (ugcphi), or phi'' and two of g, g', g'' at phi (the C-kinds);
+    # as many when each weight is scanned alone, with no batch first
+    grid = dv.DiskGrid(**SMALL_GRID)
+    calls = count_grid_evaluations(monkeypatch, grid)
+    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], grid)
+    for alpha in (0.5, 1.0, 2.5):
+        report = dv.check_boundedness(kind, sym, alpha, 1.0, grid, n_seq=64)
+        dv.essential_norm(kind, sym, alpha, 1.0, grid, n_seq=64, boundedness=report)
+    assert len(calls) == count
+    calls.clear()
+    sym = sym_of([0, 0.5, 0.25], [0, 1, 0.5], grid)
+    for u in dv.symbol_weights(kind, sym).values():
+        sequence_quantity(u, sym, Weight.standard(1.0), ("power", 1.0), 64, grid)
+    assert len(calls) == count
 
 
 def loop_sequence(A, p, n_seq):
